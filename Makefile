@@ -37,9 +37,11 @@ race:
 
 # chaos reruns the seeded fault-injection suite by name — fabric fates,
 # engine crash/shrink/checkpoint paths, and the fault-tolerant
-# collective matrix — so a chaos regression is unmistakable in CI.
+# collective matrix — so a chaos regression is unmistakable in CI, then
+# the exhaustive membership checker (DESIGN.md §5.7).
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/fabric/ ./internal/hbsp/ ./internal/collective/
+	$(GO) test -race -count=1 -run TestMembershipExhaustive ./internal/hbsp/
 
 # verify smoke-tests the semantic checker: schedule exploration with
 # the happens-before checker armed must certify gather, bcast and

@@ -62,6 +62,18 @@ elapsed=$(( $(date +%s) - start ))
 echo "churn+reorg soak wall time: ${elapsed}s (budget 30s)"
 [ "$elapsed" -le 30 ]
 
+# Exhaustive membership checker (DESIGN.md §5.7): every interleaving of
+# sync arrivals with up to three crash/leave/join events on flat and
+# 2-level trees of up to five leaves, driven through the pure membership
+# core with no goroutines, under the race detector — every completed
+# barrier must find its members at one generation with identical
+# acknowledgments and views. Budgeted inside 30s wall time.
+start=$(date +%s)
+go test -race -count=1 -run 'TestMembershipExhaustive' ./internal/hbsp/
+elapsed=$(( $(date +%s) - start ))
+echo "exhaustive membership checker wall time: ${elapsed}s (budget 30s)"
+[ "$elapsed" -le 30 ]
+
 # Static cost analysis (DESIGN.md §5.6): the analyzer suite plus the
 # variantcheck advisor over the repo's non-test code on the grid tree
 # must report nothing (tests deliberately exercise every variant at

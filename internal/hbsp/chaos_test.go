@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -117,43 +118,168 @@ func TestChaosShrinkThenCompleteConcurrent(t *testing.T) {
 	}
 }
 
-// Two runs under the same seed, noise, and chaos plan must produce
-// byte-identical reports: faults are part of the deterministic model.
-func TestChaosVirtualRunsAreDeterministic(t *testing.T) {
-	tr := model.UCFTestbedN(5)
-	plan := &fabric.ChaosPlan{
-		Seed:       11,
-		Crashes:    []fabric.Crash{{Pid: 3, AtStep: 2}},
-		Drop:       0.2,
-		Duplicate:  0.2,
-		Delay:      0.2,
-		DelaySteps: 1,
-		Stragglers: []fabric.Straggler{{Pid: 1, FromStep: 0, ToStep: 2, Factor: 3}},
-	}
-	prog := func(c Ctx) error {
-		for s := 0; s < 5; s++ {
-			c.Charge(float64(10 * (c.Pid() + 1)))
-			if err := c.Send((c.Pid()+1)%c.NProcs(), 1, []byte{byte(s), byte(c.Pid())}); err != nil {
-				return err
-			}
-			err := SyncAll(c, fmt.Sprintf("r%d", s))
-			if err != nil {
-				if err = absorbOnce(c, fmt.Sprintf("r%d", s), err); err != nil {
+// noticeProg runs rounds global supersteps, retrying each until it
+// succeeds, and Saves what it learned from the failure notices it
+// absorbed — their count, or with order set their pid sequence — so
+// RunSchedules fingerprints it. seen, when set, receives each finisher's
+// notice sequence.
+func noticeProg(rounds int, order bool, seen func(pid int, notices []int)) Program {
+	return func(c Ctx) error {
+		var notices []int
+		for s := 0; s < rounds; s++ {
+			for {
+				err := SyncAll(c, fmt.Sprintf("r%d", s))
+				if err == nil {
+					break
+				}
+				var pf *ErrPeerFailed
+				if !errors.As(err, &pf) {
 					return err
 				}
+				notices = append(notices, pf.Pid)
 			}
+		}
+		saved := []byte{byte(len(notices))}
+		if order {
+			saved = saved[:0]
+			for _, pid := range notices {
+				saved = append(saved, byte(pid))
+			}
+		}
+		c.Save("notices", saved)
+		if seen != nil {
+			seen(c.Pid(), notices)
 		}
 		return nil
 	}
-	run := func() interface{} {
-		rep, err := RunVirtualChaos(tr, fabric.PVMNoisy(0.3, 5), plan, prog)
-		if err != nil {
-			t.Fatalf("run failed: %v", err)
-		}
-		return rep
+}
+
+// Equal-seed runs under the same noise and chaos plan must produce one
+// fingerprint and byte-identical reports: faults are part of the
+// deterministic model. Two crashes at the same sync ordinal are the
+// hard case — survivors reach the coordinator in goroutine order, yet
+// each must absorb one notice per death, smallest pid first, exactly as
+// many as on the Concurrent engine.
+func TestChaosVirtualRunsAreDeterministic(t *testing.T) {
+	twoCrashes := &fabric.ChaosPlan{Crashes: []fabric.Crash{{Pid: 1, AtStep: 1}, {Pid: 3, AtStep: 1}}}
+	cases := []struct {
+		name string
+		tree *model.Tree
+		cfg  fabric.Config
+		plan *fabric.ChaosPlan
+		prog func(seen func(pid int, notices []int)) Program
+		// want, when set, is every survivor's notice sequence on both
+		// engines; a counts-only program compares lengths.
+		want      []int
+		wantOrder bool
+	}{
+		{
+			name: "faults-and-noise",
+			tree: model.UCFTestbedN(5),
+			cfg:  fabric.PVMNoisy(0.3, 5),
+			plan: &fabric.ChaosPlan{
+				Seed:       11,
+				Crashes:    []fabric.Crash{{Pid: 3, AtStep: 2}},
+				Drop:       0.2,
+				Duplicate:  0.2,
+				Delay:      0.2,
+				DelaySteps: 1,
+				Stragglers: []fabric.Straggler{{Pid: 1, FromStep: 0, ToStep: 2, Factor: 3}},
+			},
+			prog: func(func(int, []int)) Program {
+				return func(c Ctx) error {
+					for s := 0; s < 5; s++ {
+						c.Charge(float64(10 * (c.Pid() + 1)))
+						if err := c.Send((c.Pid()+1)%c.NProcs(), 1, []byte{byte(s), byte(c.Pid())}); err != nil {
+							return err
+						}
+						err := SyncAll(c, fmt.Sprintf("r%d", s))
+						if err != nil {
+							if err = absorbOnce(c, fmt.Sprintf("r%d", s), err); err != nil {
+								return err
+							}
+						}
+					}
+					return nil
+				}
+			},
+		},
+		{
+			name: "same-ordinal-crashes-count",
+			tree: model.UCFTestbedN(6),
+			cfg:  fabric.PureModel(),
+			plan: twoCrashes,
+			prog: func(seen func(int, []int)) Program { return noticeProg(4, false, seen) },
+			want: []int{1, 3},
+		},
+		{
+			name: "same-ordinal-crashes-order",
+			tree: model.UCFTestbedN(6),
+			cfg:  fabric.PureModel(),
+			plan: twoCrashes,
+			prog: func(seen func(int, []int)) Program { return noticeProg(4, true, seen) },
+			want: []int{1, 3}, wantOrder: true,
+		},
 	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
-		t.Errorf("identical chaos runs diverged:\n%+v\nvs\n%+v", a, b)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			notices := map[int][]int{}
+			seen := func(pid int, n []int) {
+				mu.Lock()
+				notices[pid] = n
+				mu.Unlock()
+			}
+			check := func(engine string) {
+				t.Helper()
+				if tc.want == nil {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for pid := 0; pid < tc.tree.NProcs(); pid++ {
+					if tc.plan.CrashNow(pid, 1, 0) {
+						continue
+					}
+					got := notices[pid]
+					if len(got) != len(tc.want) || (tc.wantOrder && !reflect.DeepEqual(got, tc.want)) {
+						t.Errorf("%s: survivor p%d absorbed notices %v, want %v", engine, pid, got, tc.want)
+					}
+				}
+			}
+			var first *ScheduleRun
+			for run := 0; run < 100; run++ {
+				eng := NewVirtual(tc.tree, fabric.New(tc.tree, tc.cfg))
+				eng.Chaos = tc.plan
+				set, err := eng.RunSchedules(tc.prog(seen), 1, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := set.Runs[0]
+				if r.Err != nil {
+					t.Fatalf("run %d failed: %v", run, r.Err)
+				}
+				if first == nil {
+					first = &r
+					check("virtual")
+					continue
+				}
+				if r.Fingerprint != first.Fingerprint || !reflect.DeepEqual(r.Report, first.Report) {
+					t.Fatalf("equal-seed run %d diverged: fingerprint %016x vs %016x", run, r.Fingerprint, first.Fingerprint)
+				}
+			}
+			if tc.want == nil {
+				return
+			}
+			eng := NewConcurrent(tc.tree)
+			eng.Chaos = tc.plan
+			if _, err := eng.Run(tc.prog(seen)); err != nil {
+				t.Fatalf("concurrent: %v", err)
+			}
+			if !tc.wantOrder {
+				check("concurrent")
+			}
+		})
 	}
 }
 

@@ -196,17 +196,16 @@ type crun struct {
 	// never arrived at the waiter's generation; without this, a member
 	// exiting right after the final barrier would race a still-parked
 	// waiter into a false desync.
-	arrived map[int]map[string]int
+	arrived map[int]map[*model.Machine]int
 
-	// Fault-tolerance state, under mu: dead records chaos-killed
-	// processors; acked[pid][scope] is the dead set pid has
-	// acknowledged on that scope (per scope, so a death learned through
-	// a subscope still surfaces on every other scope containing the
-	// victim); detectCount drives the optional deadline backoff;
-	// waitEWMA tracks the mean successful barrier wait, the deadline's
-	// prediction base.
-	dead        map[int]*failInfo
-	acked       map[int]map[string]map[int]bool
+	// mem is the run's membership protocol core, under mu: dead,
+	// dormant and joined processors and every processor's
+	// acknowledgments and views.
+	mem *membership
+
+	// Fault-tolerance state, under mu: detectCount drives the optional
+	// deadline backoff; waitEWMA tracks the mean successful barrier
+	// wait, the deadline's prediction base.
 	detectCount map[int]int
 	waitEWMA    time.Duration
 	// exitc wakes a cut applier waiting for a crash victim's goroutine
@@ -215,31 +214,17 @@ type crun struct {
 	// Signaled by markExited; waits under mu.
 	exitc *sync.Cond
 
-	// Elastic-membership state, under mu. dormant pids await their
-	// activation cut behind a per-pid gate channel (their tasks are
-	// pre-spawned but parked); joined records activated latecomers
-	// (pid -> activation cut) pending acknowledgment;
-	// ackedJoin[pid][scope] is the joined set pid has acknowledged on
-	// that scope — the join notice burns one sync generation on every
-	// scope containing the newcomer, for every member including the
-	// newcomer itself, mirroring the virtual engine exactly;
-	// knownActive[pid] is pid's membership view; gens[scope] is the
-	// next sync generation of the scope (every Sync entry raises it),
-	// snapshotted into joinGens at activation so a newcomer's syncSeq
-	// starts aligned with the old members'.
-	dormant     map[int]bool
-	joined      map[int]int
-	ackedJoin   map[int]map[string]map[int]bool
-	knownActive map[int]map[int]bool
-	gens        map[string]int
-	joinGens    map[int]map[string]int
-	gates       map[int]chan struct{}
-	// cutGens is the applier's snapshot of gens at the last membership
-	// cut, taken while every live processor is parked inside the cut
-	// window; members re-align their per-scope generations against it
-	// when they leave the window (a rebalance can move a leaf under a
-	// scope it has never synced on).
-	cutGens map[string]int
+	// Generation and activation state, under mu. gens[scope] is the next
+	// sync generation of the scope (every Sync entry raises it); cutGens
+	// is the applier's snapshot of gens at the last membership cut,
+	// taken while every live processor is parked inside the cut window.
+	// Members re-align their per-scope generations against it when they
+	// leave the window (a rebalance can move a leaf under a scope it has
+	// never synced on), and joiners activated at that cut start from it.
+	// Dormant tasks are pre-spawned but parked behind a per-pid gate.
+	gens    map[*model.Machine]int
+	cutGens map[*model.Machine]int
+	gates   map[int]chan struct{}
 
 	// Reorganization state, under mu: rer folds each processor's
 	// measured effective compute slowdown; epoch counts applied
@@ -253,85 +238,12 @@ type crun struct {
 	planDead int
 }
 
-// ackScope marks exactly ONE dead member of the scope — the smallest
-// unacknowledged one — acknowledged by pid, and returns it plus pid's
-// updated global dead view. One peer per notice is what keeps barrier
-// generations aligned under near-simultaneous deaths: a member that
-// entered between two deaths must burn one generation per victim, so a
-// member that learned of both at once must burn two as well. Batching
-// would let the late entrant fold both into one burned generation and
-// park one generation behind its peers forever. Caller holds mu.
-// Returns -1 when nothing was unacknowledged.
-func (s *crun) ackScope(pid int, scope string, members []int) (int, []int) {
-	first := -1
-	for _, m := range members {
-		if s.dead[m] != nil && !s.acked[pid][scope][m] {
-			if first < 0 || m < first {
-				first = m
-			}
-		}
-	}
-	if first < 0 {
-		return -1, nil
-	}
-	if s.acked[pid] == nil {
-		s.acked[pid] = make(map[string]map[int]bool)
-	}
-	if s.acked[pid][scope] == nil {
-		s.acked[pid][scope] = make(map[int]bool)
-	}
-	s.acked[pid][scope][first] = true
-	union := make(map[int]bool)
-	for _, perScope := range s.acked[pid] {
-		for dp := range perScope {
-			union[dp] = true
-		}
-	}
-	return first, sortedPids(union)
-}
-
-// ackJoinScope marks every joined (activated-latecomer) member of the
-// scope acknowledged by pid and returns the smallest newly joined
-// member, its activation cut, and pid's updated membership view. The
-// requester itself counts — a newcomer burns the same notice generation
-// as everyone else, which keeps per-scope generations aligned. Caller
-// holds mu. Returns -1 when nothing was unacknowledged.
-func (s *crun) ackJoinScope(pid int, scope string, members []int) (int, int, []int) {
-	first := -1
-	for _, m := range members {
-		if _, ok := s.joined[m]; ok && !s.ackedJoin[pid][scope][m] {
-			if first < 0 || m < first {
-				first = m
-			}
-		}
-	}
-	if first < 0 {
-		return -1, 0, nil
-	}
-	if s.ackedJoin[pid] == nil {
-		s.ackedJoin[pid] = make(map[string]map[int]bool)
-	}
-	if s.ackedJoin[pid][scope] == nil {
-		s.ackedJoin[pid][scope] = make(map[int]bool)
-	}
-	if s.knownActive[pid] == nil {
-		s.knownActive[pid] = make(map[int]bool)
-	}
-	for _, m := range members {
-		if _, ok := s.joined[m]; ok {
-			s.ackedJoin[pid][scope][m] = true
-			s.knownActive[pid][m] = true
-		}
-	}
-	return first, s.joined[first], sortedPids(s.knownActive[pid])
-}
-
-// syncWait describes one processor parked in Sync: the scope's label,
-// this processor's sync generation for it, the member pids that must
-// arrive for the barrier to complete, and the pvm barrier name (so a
-// crashing member can cancel exactly this wait).
+// syncWait describes one processor parked in Sync: the scope, this
+// processor's sync generation for it, the member pids that must arrive
+// for the barrier to complete, and the pvm barrier name (so a crashing
+// member can cancel exactly this wait).
 type syncWait struct {
-	scope   string
+	scope   *model.Machine
 	label   string
 	gen     int
 	members []int
@@ -339,75 +251,47 @@ type syncWait struct {
 }
 
 // checkAndEnter is the survivor side of the crash protocol's
-// serialization point. Under one critical section it either (a) finds
-// dead, unacknowledged members of the scope — acks them all, and
-// returns the first one's failure record — or (b) registers the barrier
-// wait, with the caller's barrier name extended by the acknowledged
-// dead members of the scope so that shrunken barriers never collide
-// with pre-failure ones. A crashing member holds the same lock while it
-// marks itself dead and collects parked waiters to cancel, so every
-// survivor either parks before the cancel or sees the dead set here.
-func (s *crun) checkAndEnter(pid int, w *syncWait) (res enterResult) {
+// serialization point. Under one critical section it either takes the
+// processor's next membership notice from the core, or registers the
+// barrier wait, with the caller's barrier name extended by the core's
+// shrunken identity and the live count returned. A crashing member
+// holds the same lock while it marks itself dead and collects parked
+// waiters to cancel, so every survivor either parks before the cancel
+// or sees the dead set here.
+func (s *crun) checkAndEnter(c *cctx, w *syncWait) (count int, notice error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res.deadPid, res.joinPid = -1, -1
-
 	// gens tracks the scope's next generation regardless of the path
 	// this sync takes: a notice-consumed generation is still burned.
 	if w.gen+1 > s.gens[w.scope] {
 		s.gens[w.scope] = w.gen + 1
 	}
-
-	if first, view := s.ackScope(pid, w.scope, w.members); first >= 0 {
-		res.deadPid, res.deadInfo, res.deadView = first, s.dead[first], view
-		return res
+	if notice = s.noticeLocked(c, w.scope); notice != nil {
+		return 0, notice
 	}
-	if first, step, view := s.ackJoinScope(pid, w.scope, w.members); first >= 0 {
-		res.joinPid, res.joinStep, res.joinView = first, step, view
-		return res
-	}
-
-	// Shrunken barrier identity: generation plus this pid's acked dead
-	// members of the scope. The failure protocol guarantees every live
-	// member acks the same dead set at the same generation, so all
-	// survivors compute the same name and the same live count. Dormant
-	// members are outside the run entirely until their activation cut:
-	// not counted and not tagged.
-	var deadTag []string
-	for _, m := range w.members {
-		if s.dormant[m] {
-			continue
-		}
-		if s.acked[pid][w.scope][m] {
-			deadTag = append(deadTag, fmt.Sprintf("%d", m))
-		} else {
-			res.count++
-		}
-	}
-	if len(deadTag) > 0 {
-		w.barrier += "!" + strings.Join(deadTag, ",")
-	}
-	s.waiting[pid] = w
-	m := s.arrived[pid]
+	count, shrunk := s.mem.barrier(c.pid, w.scope)
+	w.barrier += shrunk
+	s.waiting[c.pid] = w
+	m := s.arrived[c.pid]
 	if m == nil {
-		m = make(map[string]int)
-		s.arrived[pid] = m
+		m = make(map[*model.Machine]int)
+		s.arrived[c.pid] = m
 	}
 	m[w.scope] = w.gen
-	return res
+	return count, nil
 }
 
-// enterResult is checkAndEnter's verdict: exactly one of a dead-peer
-// notice (deadPid >= 0), a join notice (joinPid >= 0), or a registered
-// barrier wait of the given live count.
-type enterResult struct {
-	deadPid  int
-	deadInfo *failInfo
-	deadView []int
-	joinPid  int
-	joinStep int
-	joinView []int
-	count    int
+// noticeLocked takes c's next membership notice on scope from the core
+// and refreshes the view it changes. Caller holds mu.
+func (s *crun) noticeLocked(c *cctx, scope *model.Machine) error {
+	notice := s.mem.notice(c.pid, scope)
+	switch notice.(type) {
+	case *ErrPeerFailed:
+		c.failedView = s.mem.failed(c.pid)
+	case *ErrPeerJoined:
+		c.membersView = s.mem.members(c.pid)
+	}
+	return notice
 }
 
 // crashSelf is the victim side: mark pid dead under mu and collect the
@@ -416,7 +300,7 @@ type enterResult struct {
 // ErrCanceled and convert it to ErrPeerFailed.
 func (s *crun) crashSelf(pid, ord int, cause string) {
 	s.mu.Lock()
-	s.dead[pid] = &failInfo{step: ord, cause: cause}
+	s.mem.kill(pid, ord, cause)
 	var cancel []string
 	for waiter, w := range s.waiting {
 		if waiter == pid {
@@ -436,16 +320,12 @@ func (s *crun) crashSelf(pid, ord int, cause string) {
 	}
 }
 
-// ackCanceled handles a survivor woken by a crash cancel: ack every
-// dead member of its scope and return the first one's record.
-func (s *crun) ackCanceled(pid int, scope string, members []int) (int, *failInfo, []int) {
+// canceled handles a survivor woken by a crash cancel: its next notice
+// on the scope names the death, or nil when it owes none.
+func (s *crun) canceled(c *cctx, scope *model.Machine) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	first, view := s.ackScope(pid, scope, members)
-	if first < 0 {
-		return -1, nil, nil
-	}
-	return first, s.dead[first], view
+	return s.noticeLocked(c, scope)
 }
 
 func (s *crun) leaveSync(pid int, wait time.Duration) {
@@ -472,26 +352,17 @@ func (s *crun) markExited(pid int) {
 	// released: their gates close, and the waking tasks see no joined
 	// record and return without running the program.
 	var release []chan struct{}
-	if len(s.exited) == s.nprocs-len(s.dormant) {
-		for dp := range s.dormant {
-			release = append(release, s.gates[dp])
+	if len(s.exited) == s.nprocs-s.mem.ndormant {
+		for pid, g := range s.gates {
+			if s.mem.isDormant(pid) {
+				release = append(release, g)
+			}
 		}
 	}
 	s.mu.Unlock()
 	for _, g := range release {
 		close(g)
 	}
-}
-
-// deadUnwindingLocked reports whether any crash-stopped or departed
-// processor's goroutine is still running user code. Caller holds mu.
-func (s *crun) deadUnwindingLocked() bool {
-	for pid := range s.dead {
-		if !s.exited[pid] {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *crun) desyncErr() error {
@@ -590,7 +461,7 @@ func (s *crun) watch(sys *pvm.System, timeout time.Duration, done <-chan struct{
 			// Dormant processors are parked by definition: their tasks
 			// idle behind activation gates, so they never count as
 			// missing arrivals.
-			allParked := len(s.waiting) > 0 && len(s.waiting)+len(s.exited)+len(s.dormant) == s.nprocs
+			allParked := len(s.waiting) > 0 && len(s.waiting)+len(s.exited)+s.mem.ndormant == s.nprocs
 			if !allParked || !stalled || s.progress != stallProgress {
 				stalled = allParked
 				stallProgress = s.progress
@@ -619,17 +490,17 @@ func (s *crun) exitedMemberDesync() (cancel []string, err error) {
 		for _, m := range w.members {
 			reached, ok := s.arrived[m][w.scope]
 			if s.exited[m] && (!ok || reached < w.gen) {
-				if s.dead[m] != nil {
+				if s.mem.isDead(m) {
 					// Only a barrier that has not yet acknowledged this
 					// death can hang on it; an acked barrier counts live
 					// members only and completes without the corpse.
-					if !s.acked[pid][w.scope][m] {
+					if !s.mem.ackedDead(pid, w.scope, m) {
 						cancel = append(cancel, w.barrier)
 					}
 					continue
 				}
 				return nil, fmt.Errorf("%w: p%d waits on %s#%d(%s) but member p%d already exited",
-					ErrDesync, pid, w.scope, w.gen, w.label, m)
+					ErrDesync, pid, w.scope.Label(), w.gen, w.label, m)
 			}
 		}
 	}
@@ -646,7 +517,7 @@ func (s *crun) stallDesync() error {
 		if !ok {
 			continue
 		}
-		waitParts = append(waitParts, fmt.Sprintf("p%d@%s#%d(%s)", pid, w.scope, w.gen, w.label))
+		waitParts = append(waitParts, fmt.Sprintf("p%d@%s#%d(%s)", pid, w.scope.Label(), w.gen, w.label))
 		for _, m := range w.members {
 			mw := s.waiting[m]
 			if mw == nil || mw.scope != w.scope || mw.gen != w.gen {
@@ -663,7 +534,7 @@ func (s *crun) stallDesync() error {
 			lagParts = append(lagParts, fmt.Sprintf("p%d:exited", pid))
 		case s.waiting[pid] != nil:
 			w := s.waiting[pid]
-			lagParts = append(lagParts, fmt.Sprintf("p%d:at %s#%d(%s)", pid, w.scope, w.gen, w.label))
+			lagParts = append(lagParts, fmt.Sprintf("p%d:at %s#%d(%s)", pid, w.scope.Label(), w.gen, w.label))
 		default:
 			lagParts = append(lagParts, fmt.Sprintf("p%d:not at a barrier", pid))
 		}
@@ -783,10 +654,14 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		return fmt.Errorf("%w (p%d at step %d)", errLeave, c.pid, ord)
 	}
 
-	leaves := scope.Leaves()
-	inScope := make(map[int]bool, len(leaves))
-	for _, l := range leaves {
-		inScope[c.eng.tree.Pid(l)] = true
+	sh := c.shared
+	sh.mu.Lock()
+	members := sh.mem.scope(scope)
+	quiet := sh.mem.quiet()
+	sh.mu.Unlock()
+	inScope := make(map[int]bool, len(members))
+	for _, q := range members {
+		inScope[q] = true
 	}
 	if !inScope[c.pid] {
 		return fmt.Errorf("hbsp: processor %d syncing on foreign scope %s", c.pid, scope.Label())
@@ -808,14 +683,18 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 			kept = append(kept, m)
 			continue
 		}
-		if c.holdDst(scope.Label(), m.dst) {
-			// Destination not yet reachable at this generation: dormant,
-			// or joined but with its notice still unacknowledged by this
-			// sender — flushing now would tag the message with the
-			// notice-burn generation nobody ever receives. Held messages
-			// flush on the retry sync, landing at the same post-ack step
-			// the virtual engine delivers them. Fate stays unassigned,
-			// as in the virtual engine's hold.
+		hold, deadDst := false, false
+		if !quiet {
+			sh.mu.Lock()
+			hold, deadDst = sh.mem.hold(c.pid, scope, m.dst), sh.mem.isDead(m.dst)
+			sh.mu.Unlock()
+		}
+		if hold {
+			// Destination not yet reachable at this generation (see
+			// membership.hold). Held messages flush on the retry sync,
+			// landing at the same post-ack step the virtual engine
+			// delivers them. Fate stays unassigned, as in the virtual
+			// engine's hold.
 			kept = append(kept, m)
 			continue
 		}
@@ -838,7 +717,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 			kept = append(kept, m)
 			continue
 		}
-		if m.drop || c.deadPid(m.dst) {
+		if m.drop || deadDst {
 			continue
 		}
 		copies := 1
@@ -865,11 +744,6 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	}
 	c.outbox = kept
 
-	members := make([]int, len(leaves))
-	for i, l := range leaves {
-		members[i] = c.eng.tree.Pid(l)
-	}
-
 	// One mailbox append per destination, in pid order: the whole
 	// superstep's traffic to a peer lands under a single lock
 	// acquisition.
@@ -892,30 +766,23 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 			// scope observes ErrPeerFailed at one consistent generation
 			// and later Syncs complete over the remaining members.
 			c.shared.crashSelf(lostDst, ord, "link lost")
-			if dp, di, dv := c.shared.ackCanceled(c.pid, scope.Label(), members); dp >= 0 {
-				c.failedView = dv
-				return &ErrPeerFailed{Pid: dp, Step: di.step, Cause: di.cause}
+			if notice := c.shared.canceled(c, scope); notice != nil {
+				return notice
 			}
 		}
 		return sendErr
 	}
 	wait := &syncWait{
-		scope:   scope.Label(),
+		scope:   scope,
 		label:   label,
 		gen:     gen,
 		members: members,
 		barrier: fmt.Sprintf("sync:%s#%d", scope.Label(), gen),
 	}
-	res := c.shared.checkAndEnter(c.pid, wait)
-	if res.deadPid >= 0 {
-		c.failedView = res.deadView
-		return &ErrPeerFailed{Pid: res.deadPid, Step: res.deadInfo.step, Cause: res.deadInfo.cause}
+	count, notice := c.shared.checkAndEnter(c, wait)
+	if notice != nil {
+		return notice
 	}
-	if res.joinPid >= 0 {
-		c.membersView = res.joinView
-		return &ErrPeerJoined{Pid: res.joinPid, Step: res.joinStep}
-	}
-	count := res.count
 	deadline := c.shared.barrierDeadline(c.pid, c.eng.DetectFactor)
 	bEnter := time.Since(c.shared.started)
 	var err error
@@ -930,7 +797,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	}
 	c.shared.leaveSync(c.pid, time.Since(c.shared.started)-start)
 	if err == nil {
-		c.eng.Obsv.BarrierWait(ord, c.pid, wait.scope, scope.Level,
+		c.eng.Obsv.BarrierWait(ord, c.pid, scope.Label(), scope.Level,
 			micros(bEnter), c.nowMicros())
 	}
 	if err != nil {
@@ -938,15 +805,14 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		case errors.Is(err, pvm.ErrCanceled):
 			// A member crashed while we were parked; convert the cancel
 			// into the typed failure.
-			if dp, di, dv := c.shared.ackCanceled(c.pid, wait.scope, members); dp >= 0 {
-				c.failedView = dv
-				return &ErrPeerFailed{Pid: dp, Step: di.step, Cause: di.cause}
+			if notice := c.shared.canceled(c, scope); notice != nil {
+				return notice
 			}
 			return err
 		case errors.Is(err, pvm.ErrTimeout):
 			c.shared.noteTimeout(c.pid)
 			return fmt.Errorf("hbsp: detection deadline on %s#%d(%s): %w",
-				wait.scope, gen, label, err)
+				scope.Label(), gen, label, err)
 		case errors.Is(err, pvm.ErrHalted):
 			// A halt during the wait means the watchdog declared a
 			// desync: surface its structured report instead of the bare
@@ -1105,7 +971,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 	// gates. The step record above already read the pre-reorg layout,
 	// so nothing reads the tree while the applier mutates it.
 	if scope == c.eng.tree.Root && c.pendingCut(c.rootDone) {
-		if err := c.cutWindow(members, count); err != nil {
+		if err := c.cutWindow(count); err != nil {
 			return err
 		}
 	}
@@ -1124,25 +990,24 @@ func (c *cctx) pendingCut(R int) bool {
 	s := c.shared
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for pid := range s.dormant {
-		if c.eng.Chaos.JoinStep(pid) <= R {
-			return true
-		}
-	}
-	return false
+	return len(s.mem.due(R)) > 0
 }
 
 // cutWindow serializes one consistent cut: cut:in waits until every
 // participant has finished its post-barrier reads (deliveries, step
-// record), the smallest live participant applies the cut, and cut:out
+// record), the core's single applier applies the cut, and cut:out
 // holds everyone until the tree is stable again.
-func (c *cctx) cutWindow(members []int, count int) error {
+func (c *cctx) cutWindow(count int) error {
 	R := c.rootDone
 	if err := c.task.BarrierTimeout(fmt.Sprintf("cut:in#%d", R), count, 0); err != nil {
 		return c.cutErr(err)
 	}
+	s := c.shared
+	s.mu.Lock()
+	applier := s.mem.applier()
+	s.mu.Unlock()
 	var applyErr error
-	if c.shared.applierPid(members) == c.pid {
+	if applier == c.pid {
 		applyErr = c.applyCut(R)
 	}
 	if err := c.task.BarrierTimeout(fmt.Sprintf("cut:out#%d", R), count, 0); err != nil {
@@ -1157,14 +1022,12 @@ func (c *cctx) cutWindow(members []int, count int) error {
 	// its peers'. Scope generations advance in lockstep across a scope's
 	// members, so for scopes this processor already synced the
 	// assignment is a no-op.
-	s := c.shared
 	s.mu.Lock()
-	snap := s.cutGens
-	c.eng.tree.Root.Walk(func(m *model.Machine) {
-		if g := snap[m.Label()]; g > 0 && g > c.syncSeq[m] {
+	for m, g := range s.cutGens {
+		if g > c.syncSeq[m] {
 			c.syncSeq[m] = g
 		}
-	})
+	}
 	s.mu.Unlock()
 	return applyErr
 }
@@ -1178,25 +1041,6 @@ func (c *cctx) cutErr(err error) error {
 		}
 	}
 	return err
-}
-
-// applierPid picks the cut's single applier: the smallest live,
-// non-dormant participant. Every participant computes the same answer —
-// the dead set cannot grow while all scope members are inside the cut
-// window (crashes fire only at Sync entry).
-func (s *crun) applierPid(members []int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best := -1
-	for _, m := range members {
-		if s.dormant[m] || s.dead[m] != nil {
-			continue
-		}
-		if best < 0 || m < best {
-			best = m
-		}
-	}
-	return best
 }
 
 // applyCut is the applier side of the cut window: rebalance the tree
@@ -1218,7 +1062,7 @@ func (c *cctx) applyCut(R int) error {
 		// out before rebalancing: every live member is parked inside the
 		// cut window, a dead requester's re-sync resolves immediately
 		// under mu, and its deferred markExited signals exitc.
-		for s.deadUnwindingLocked() {
+		for s.mem.anyDead(func(pid int) bool { return !s.exited[pid] }) {
 			s.exitc.Wait()
 		}
 		s.epoch++
@@ -1231,15 +1075,8 @@ func (c *cctx) applyCut(R int) error {
 		}
 		planReorged = true
 		e.Obsv.Reorg(epoch, plan.Moved, c.nowMicros())
-		// A rebalance can move a leaf under a scope whose members
-		// acknowledged a death or join it only saw elsewhere. Equalize the
-		// per-scope ack sets across the live processors so a moved-in
-		// member computes the same dead tag and burns the same notice
-		// generations as its new peers (the virtual engine equalizes at
-		// the same point).
 		s.mu.Lock()
-		s.equalizeAcksLocked(s.acked)
-		s.equalizeAcksLocked(s.ackedJoin)
+		s.mem.rebalanced()
 		s.mu.Unlock()
 	}
 
@@ -1248,41 +1085,15 @@ func (c *cctx) applyCut(R int) error {
 	// parked inside the cut window: members re-align their per-scope
 	// generations against this stable copy after cut:out, and joiners
 	// seed theirs from it.
-	cutGens := make(map[string]int, len(s.gens))
+	cutGens := make(map[*model.Machine]int, len(s.gens))
 	for k, v := range s.gens {
 		cutGens[k] = v
 	}
 	s.cutGens = cutGens
-	var act []int
-	for pid := range s.dormant {
-		if e.Chaos.JoinStep(pid) <= R {
-			act = append(act, pid)
-		}
-	}
-	sort.Ints(act)
-	var gates []chan struct{}
-	for _, pid := range act {
-		delete(s.dormant, pid)
-	}
-	for _, pid := range act {
-		s.joined[pid] = R
-		ka := make(map[int]bool, s.nprocs)
-		for q := 0; q < s.nprocs; q++ {
-			if !s.dormant[q] {
-				ka[q] = true
-			}
-		}
-		s.knownActive[pid] = ka
-		s.seedAcksLocked(e.tree, pid, R)
-		snap := make(map[string]int, len(s.gens))
-		for k, v := range s.gens {
-			snap[k] = v
-		}
-		s.joinGens[pid] = snap
-		gates = append(gates, s.gates[pid])
-	}
-	planDeadChanged := len(s.dead) != s.planDead
-	s.planDead = len(s.dead)
+	act := s.mem.due(R)
+	s.mem.activate(act, R)
+	planDeadChanged := s.mem.ndead != s.planDead
+	s.planDead = s.mem.ndead
 	s.mu.Unlock()
 	// Plan hooks fire before the joiners' gates open: an activated
 	// joiner starts deciding immediately, and it must find the
@@ -1294,99 +1105,11 @@ func (c *cctx) applyCut(R int) error {
 		}
 		e.Plan.GlobalBarrier(e.tree, R)
 	}
-	for i, pid := range act {
+	for _, pid := range act {
 		e.Obsv.Chaos("join", R, pid, pid, c.nowMicros())
-		close(gates[i])
+		close(s.gates[pid])
 	}
 	return nil
-}
-
-// equalizeAcksLocked unions the per-scope-label acknowledgment sets
-// (dead or joined) of every live, non-dormant processor and writes the
-// union back to each. Called with mu held, from the cut applier while
-// every live processor is parked inside the cut window.
-func (s *crun) equalizeAcksLocked(sets map[int]map[string]map[int]bool) {
-	union := make(map[string]map[int]bool)
-	live := func(pid int) bool { return !s.dormant[pid] && s.dead[pid] == nil }
-	for pid, perScope := range sets {
-		if !live(pid) {
-			continue
-		}
-		for label, set := range perScope {
-			u := union[label]
-			if u == nil {
-				u = make(map[int]bool, len(set))
-				union[label] = u
-			}
-			for q := range set {
-				u[q] = true
-			}
-		}
-	}
-	for pid := 0; pid < s.nprocs; pid++ {
-		if !live(pid) {
-			continue
-		}
-		for label, u := range union {
-			if sets[pid] == nil {
-				sets[pid] = make(map[string]map[int]bool)
-			}
-			cp := sets[pid][label]
-			if cp == nil {
-				cp = make(map[int]bool, len(u))
-				sets[pid][label] = cp
-			}
-			for q := range u {
-				cp[q] = true
-			}
-		}
-	}
-}
-
-// seedAcksLocked copies, per scope, a live old member's acknowledged
-// dead and joined sets onto a newcomer — the concurrent mirror of the
-// virtual engine's seedAcks. The failure protocol keeps those sets
-// identical across live members of a scope at a global cut, so the
-// newcomer will burn exactly the pending notice generations the old
-// members still owe, keeping per-scope sync generations aligned. Caller
-// holds mu.
-func (s *crun) seedAcksLocked(t *model.Tree, pid, cut int) {
-	t.Root.Walk(func(scope *model.Machine) {
-		label := scope.Label()
-		donor := -1
-		for _, l := range scope.Leaves() {
-			lp := t.Pid(l)
-			if lp == pid || s.dormant[lp] || s.dead[lp] != nil || s.joined[lp] == cut {
-				continue
-			}
-			if donor < 0 || lp < donor {
-				donor = lp
-			}
-		}
-		if donor < 0 {
-			return
-		}
-		if deadSet := s.acked[donor][label]; len(deadSet) > 0 {
-			if s.acked[pid] == nil {
-				s.acked[pid] = make(map[string]map[int]bool)
-			}
-			cp := make(map[int]bool, len(deadSet))
-			for d := range deadSet {
-				cp[d] = true
-			}
-			s.acked[pid][label] = cp
-		}
-		if joinSet := s.ackedJoin[donor][label]; len(joinSet) > 0 {
-			if s.ackedJoin[pid] == nil {
-				s.ackedJoin[pid] = make(map[string]map[int]bool)
-			}
-			cp := make(map[int]bool, len(joinSet))
-			for j := range joinSet {
-				cp[j] = true
-			}
-			s.ackedJoin[pid][label] = cp
-		}
-	})
 }
 
 // micros converts an engine-relative duration to the microsecond time
@@ -1395,43 +1118,6 @@ func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsec
 
 // nowMicros is the processor's current time on the run clock.
 func (c *cctx) nowMicros() float64 { return micros(time.Since(c.shared.started)) }
-
-// deadPid reports whether pid is chaos-dead.
-func (c *cctx) deadPid(pid int) bool {
-	c.shared.mu.Lock()
-	defer c.shared.mu.Unlock()
-	return c.shared.dead[pid] != nil
-}
-
-// dormantPid reports whether pid awaits its activation cut. Messages to
-// a dormant destination are held in the sender's outbox until the first
-// shared superstep after activation — the virtual engine holds them in
-// its undelivered pool the same way.
-func (c *cctx) dormantPid(pid int) bool {
-	c.shared.mu.Lock()
-	defer c.shared.mu.Unlock()
-	return c.shared.dormant[pid]
-}
-
-// holdDst reports whether a message to dst must stay queued at a flush
-// on the given scope: dst is dormant, or dst joined at a cut whose
-// notice this sender has not yet consumed on the scope. In the latter
-// case the current sync is about to burn the join-notice generation, so
-// a flush now would wire-tag the message with a generation no receiver
-// ever drains; the retry sync flushes it one generation later, where
-// the whole scope — newcomer included — receives.
-func (c *cctx) holdDst(scope string, dst int) bool {
-	s := c.shared
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dormant[dst] {
-		return true
-	}
-	if _, joined := s.joined[dst]; joined && !s.ackedJoin[c.pid][scope][dst] {
-		return true
-	}
-	return false
-}
 
 // liveCoordinator is the scope coordinator restricted to leaves this
 // processor knows to be active members and not dead: coordinator
@@ -1486,16 +1172,10 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 		nprocs:      p,
 		waiting:     make(map[int]*syncWait),
 		exited:      make(map[int]bool),
-		arrived:     make(map[int]map[string]int),
-		dead:        make(map[int]*failInfo),
-		acked:       make(map[int]map[string]map[int]bool),
+		arrived:     make(map[int]map[*model.Machine]int),
+		mem:         newMembership(e.tree, e.Chaos),
 		detectCount: make(map[int]int),
-		dormant:     make(map[int]bool),
-		joined:      make(map[int]int),
-		ackedJoin:   make(map[int]map[string]map[int]bool),
-		knownActive: make(map[int]map[int]bool),
-		gens:        make(map[string]int),
-		joinGens:    make(map[int]map[string]int),
+		gens:        make(map[*model.Machine]int),
 		gates:       make(map[int]chan struct{}),
 		rer:         model.NewReranker(p, e.ReorgAlpha),
 	}
@@ -1505,23 +1185,9 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 	// applier of their activation cut closes the gate (or until the run
 	// ends without reaching it).
 	for pid := 0; pid < p; pid++ {
-		if e.Chaos.JoinStep(pid) > 0 {
-			shared.dormant[pid] = true
+		if shared.mem.isDormant(pid) {
 			shared.gates[pid] = make(chan struct{})
 		}
-	}
-	actives := make([]int, 0, p)
-	for pid := 0; pid < p; pid++ {
-		if !shared.dormant[pid] {
-			actives = append(actives, pid)
-		}
-	}
-	for _, pid := range actives {
-		ka := make(map[int]bool, len(actives))
-		for _, q := range actives {
-			ka[q] = true
-		}
-		shared.knownActive[pid] = ka
 	}
 
 	timeout := e.DesyncTimeout
@@ -1546,15 +1212,9 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 			if gate != nil {
 				// Dormant until the activation cut's applier closes the
 				// gate. A gate closed by the last exiting active task
-				// instead (no cut reached the join point) leaves no
-				// joined record: the program never runs on this pid.
+				// instead (no cut reached the join point) leaves the pid
+				// dormant: the program never runs on it.
 				<-gate
-				shared.mu.Lock()
-				_, activated := shared.joined[pid]
-				shared.mu.Unlock()
-				if !activated {
-					return nil
-				}
 			} else {
 				<-ready
 			}
@@ -1567,34 +1227,26 @@ func (e *Concurrent) Run(prog Program) (*trace.Report, error) {
 				syncSeq: make(map[*model.Machine]int),
 				shared:  shared,
 			}
-			if gate != nil {
-				// A newcomer's state starts at the activation cut: its
-				// per-scope sync generations at the snapshot the applier
-				// took, its membership and failure views as seeded, and
-				// its cut ordinal at the activation point. The tree is
-				// stable here — every old member is parked at cut:out
-				// until the applier (which closed this gate last) exits
-				// the window.
-				shared.mu.Lock()
-				c.rootDone = shared.joined[pid]
-				c.membersView = sortedPids(shared.knownActive[pid])
-				union := make(map[int]bool)
-				for _, perScope := range shared.acked[pid] {
-					for dp := range perScope {
-						union[dp] = true
-					}
-				}
-				c.failedView = sortedPids(union)
-				snap := shared.joinGens[pid]
+			// A newcomer's state starts at its activation cut: its views
+			// as the core seeded them, its cut ordinal at the activation
+			// point and its per-scope sync generations at the applier's
+			// snapshot, which no later cut can replace before this
+			// processor joins a root barrier. The tree is stable here —
+			// every old member is parked at cut:out until the applier
+			// (which closed this gate last) exits the window.
+			shared.mu.Lock()
+			if shared.mem.isDormant(pid) {
 				shared.mu.Unlock()
-				e.tree.Root.Walk(func(m *model.Machine) {
-					if g := snap[m.Label()]; g > 0 {
-						c.syncSeq[m] = g
-					}
-				})
-			} else {
-				c.membersView = append([]int(nil), actives...)
+				return nil
 			}
+			c.membersView = shared.mem.members(pid)
+			c.failedView = shared.mem.failed(pid)
+			if c.rootDone = shared.mem.joined[pid]; c.rootDone > 0 {
+				for m, g := range shared.cutGens {
+					c.syncSeq[m] = g
+				}
+			}
+			shared.mu.Unlock()
 			if e.Verify {
 				c.vc = newVClock(p)
 			}

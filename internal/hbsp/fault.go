@@ -3,7 +3,6 @@ package hbsp
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"hbspk/internal/pvm"
@@ -49,9 +48,8 @@ func (e *ErrPeerFailed) Error() string {
 // like ErrPeerFailed's dual: refresh the membership view (Ctx.Members)
 // and retry the Sync.
 type ErrPeerJoined struct {
-	// Pid is the joined processor (the smallest one when several
-	// activated at the same cut; the whole batch is acknowledged at
-	// once).
+	// Pid is the joined processor (the smallest unacknowledged one when
+	// several joined the scope; the notice acknowledges all of them).
 	Pid int
 	// Step is the completed-global-barrier count at which it activated.
 	Step int
@@ -91,16 +89,6 @@ const defaultDetectFactor = 3.0
 type failInfo struct {
 	step  int
 	cause string
-}
-
-// sortedPids returns the keys of a failure map in ascending order.
-func sortedPids[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for pid := range m {
-		out = append(out, pid)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // CheckpointStore holds committed superstep checkpoints: per processor,

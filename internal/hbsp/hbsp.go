@@ -60,10 +60,11 @@ type Ctx interface {
 	// Sync ends a super^i-step over the subtree of scope, which must be
 	// an ancestor of (or equal to) this processor's leaf. Every
 	// processor in that subtree must call Sync with the same scope for
-	// the step to complete. When a scope member is dead, the first Sync
-	// on that scope after the failure returns ErrPeerFailed (every live
-	// member observes it at the same sync generation); subsequent Syncs
-	// complete over the survivors.
+	// the step to complete. While a scope member's death is
+	// unacknowledged, Sync on that scope returns ErrPeerFailed, one dead
+	// member per call, smallest pid first (every live member observes
+	// each at the same sync generation); once all are acknowledged,
+	// Syncs complete over the survivors.
 	Sync(scope *model.Machine, label string) error
 
 	// Failed returns the pids this processor knows to be dead, in

@@ -317,12 +317,7 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 	// Elastic membership: processors with a churn JoinAt fate start
 	// dormant and are activated — their goroutine spawned — at the
 	// membership cut after that many completed global supersteps.
-	dormant := make(map[int]bool)
-	for pid := 0; pid < p; pid++ {
-		if v.Chaos.JoinStep(pid) > 0 {
-			dormant[pid] = true
-		}
-	}
+	mem := newMembership(v.tree, v.Chaos)
 	spawn := func(pid int) {
 		go func(c *vctx) {
 			var err error
@@ -339,60 +334,41 @@ func (v *Virtual) Run(prog Program) (*trace.Report, error) {
 			err = prog(c)
 		}(ctxs[pid])
 	}
-	actives := make([]int, 0, p)
+	active := 0
 	for pid := 0; pid < p; pid++ {
-		if !dormant[pid] {
-			actives = append(actives, pid)
+		if mem.live(pid) {
+			ctxs[pid].membersView = mem.members(pid)
+			spawn(pid)
+			active++
 		}
 	}
-	for pid := 0; pid < p; pid++ {
-		if !dormant[pid] {
-			ctxs[pid].membersView = actives
-		}
-	}
-	for _, pid := range actives {
-		spawn(pid)
-	}
-	return v.coordinate(reqs, ctxs, dormant, spawn, len(actives))
+	return v.coordinate(reqs, ctxs, mem, spawn, active)
 }
 
 // engine-side run state (recreated per Run; Virtual is not reusable
 // concurrently but may be reused serially).
 type runState struct {
 	pending     []*vrequest // by pid, nil = running
+	parked      int         // non-nil entries of pending
 	done        []bool
 	clocks      []float64
 	undelivered []pendingMsg
 	steps       []trace.Step
 	firstErr    error
 
+	// mem is the run's membership protocol core: dead, dormant and
+	// joined processors and every processor's acknowledgments.
+	mem *membership
+
 	// Fault-tolerance state: syncOrd counts each processor's Sync
-	// calls; dead records crash-stopped processors; acked[pid][scope] is the
-	// dead set pid has acknowledged on that scope (acks are per scope:
-	// a death learned through a subscope sync must still surface on
-	// every other scope containing the victim, or nested-scope members
-	// would diverge); detectCount drives the detection-deadline
-	// backoff; staged holds per-pid checkpoint saves awaiting a commit
-	// boundary; globalSteps counts completed root-scope supersteps
-	// (the checkpoint cadence).
+	// calls; detectCount drives the detection-deadline backoff; staged
+	// holds per-pid checkpoint saves awaiting a commit boundary;
+	// globalSteps counts completed root-scope supersteps (the checkpoint
+	// cadence).
 	syncOrd     []int
-	dead        map[int]*failInfo
-	acked       []map[*model.Machine]map[int]bool
 	detectCount []int
 	staged      []map[string][]byte
 	globalSteps int
-
-	// Elastic-membership state: dormant pids await their activation
-	// cut; joined records activated latecomers (pid -> activation cut)
-	// pending acknowledgment; ackedJoin[pid][scope] is the joined set
-	// pid has acknowledged on that scope (per scope, mirroring acked:
-	// the join notice burns one sync generation on every scope
-	// containing the newcomer, for every member including the newcomer
-	// itself); knownActive[pid] is pid's membership view.
-	dormant     map[int]bool
-	joined      map[int]int
-	ackedJoin   []map[*model.Machine]map[int]bool
-	knownActive []map[int]bool
 	spawn       func(pid int)
 
 	// Reorganization state: rer folds measured per-step effective
@@ -416,52 +392,22 @@ type runState struct {
 	// stepSum/stepN track each processor's mean completed step time,
 	// the cost model's prediction base for detection deadlines. Per
 	// processor, not global: a pid's step sequence is its program
-	// order, so the charge stays deterministic even when sibling
-	// scopes complete in scheduler-dependent order.
+	// order, so the charge does not depend on the order in which
+	// sibling scopes complete.
 	stepSum []float64
 	stepN   []int
 }
 
-// equalizeAcks unions the per-scope acknowledgment sets (dead or
-// joined) of every processor the skip predicate admits, then writes the
-// union back to each of them. Called at a reorganization cut, where
-// every live processor is parked: knowledge acquired on one scope
-// travels with a leaf that a rebalance moves under another.
-func equalizeAcks(sets []map[*model.Machine]map[int]bool, skip func(pid int) bool) {
-	union := make(map[*model.Machine]map[int]bool)
-	for pid := range sets {
-		if skip(pid) {
-			continue
-		}
-		for scope, set := range sets[pid] {
-			u := union[scope]
-			if u == nil {
-				u = make(map[int]bool, len(set))
-				union[scope] = u
-			}
-			for q := range set {
-				u[q] = true
-			}
-		}
-	}
-	for pid := range sets {
-		if skip(pid) {
-			continue
-		}
-		for scope, u := range union {
-			if sets[pid] == nil {
-				sets[pid] = make(map[*model.Machine]map[int]bool)
-			}
-			cp := sets[pid][scope]
-			if cp == nil {
-				cp = make(map[int]bool, len(u))
-				sets[pid][scope] = cp
-			}
-			for q := range u {
-				cp[q] = true
-			}
-		}
-	}
+func (st *runState) park(r *vrequest) {
+	st.pending[r.pid] = r
+	st.parked++
+}
+
+func (st *runState) unpark(pid int) *vrequest {
+	r := st.pending[pid]
+	st.pending[pid] = nil
+	st.parked--
+	return r
 }
 
 // recycleSpent reclaims a resumed processor's donated inbox slice for
@@ -488,68 +434,51 @@ func (v *Virtual) takeInbox(pid int) ([]Message, []msgMeta) {
 	return in, meta
 }
 
-func (v *Virtual) coordinate(reqs chan *vrequest, ctxs []*vctx, dormant map[int]bool, spawn func(int), active int) (*trace.Report, error) {
+// coordinate runs the engine in rounds. A round is one request from
+// every processor not parked at a barrier; it is applied in pid order
+// (handleRound), so what a processor observes never depends on the
+// order goroutines happened to reach the coordinator.
+func (v *Virtual) coordinate(reqs chan *vrequest, ctxs []*vctx, mem *membership, spawn func(int), active int) (*trace.Report, error) {
 	p := v.tree.NProcs()
 	st := &runState{
 		pending:     make([]*vrequest, p),
 		done:        make([]bool, p),
 		clocks:      make([]float64, p),
+		mem:         mem,
 		syncOrd:     make([]int, p),
-		dead:        make(map[int]*failInfo),
-		acked:       make([]map[*model.Machine]map[int]bool, p),
 		detectCount: make([]int, p),
 		staged:      make([]map[string][]byte, p),
 		stepSum:     make([]float64, p),
 		stepN:       make([]int, p),
-		dormant:     dormant,
-		joined:      make(map[int]int),
-		ackedJoin:   make([]map[*model.Machine]map[int]bool, p),
-		knownActive: make([]map[int]bool, p),
 		spawn:       spawn,
 		rer:         model.NewReranker(p, v.ReorgAlpha),
 		reqs:        reqs,
+		running:     active,
 	}
-	for pid := 0; pid < p; pid++ {
-		if dormant[pid] {
-			continue
-		}
-		st.knownActive[pid] = make(map[int]bool, active)
-		for q := 0; q < p; q++ {
-			if !dormant[q] {
-				st.knownActive[pid][q] = true
-			}
-		}
-	}
-	st.running = active
+	var round []*vrequest
 	for st.running > 0 {
-		req := <-reqs
-		switch req.kind {
-		case 'd':
-			v.handleDone(st, req)
-		case 's':
-			v.handleSync(st, ctxs, req)
+		round = round[:0]
+		for st.parked+len(round) < st.running {
+			round = append(round, <-reqs)
 		}
-		v.release(st, ctxs)
+		v.handleRound(st, ctxs, round)
+		if st.firstErr == nil {
+			v.release(st, ctxs)
+		}
 		if v.MaxSteps > 0 && len(st.steps) >= v.MaxSteps && st.firstErr == nil {
 			st.firstErr = fmt.Errorf("%w: %d supersteps completed", ErrStepLimit, len(st.steps))
 		}
 		// Deadlock / desync detection: every live processor is blocked
 		// in a sync and nothing released.
-		if st.firstErr == nil && v.stuck(st, st.running) {
+		if st.firstErr == nil && st.parked > 0 && st.parked == st.running {
 			st.firstErr = v.desyncError(st)
-			for pid, r := range st.pending {
-				if r != nil {
-					st.pending[pid] = nil
-					r.resume <- st.firstErr
-				}
-			}
 		}
-		// On error, unblock any processor that syncs afterwards.
+		// On error, unblock every parked processor; handleRound fails
+		// any later sync straight away.
 		if st.firstErr != nil {
 			for pid, r := range st.pending {
 				if r != nil {
-					st.pending[pid] = nil
-					r.resume <- st.firstErr
+					st.unpark(pid).resume <- st.firstErr
 				}
 			}
 		}
@@ -562,6 +491,60 @@ func (v *Virtual) coordinate(reqs chan *vrequest, ctxs []*vctx, dormant map[int]
 	}
 	rep := &trace.Report{Steps: st.steps, Total: total}
 	return rep, st.firstErr
+}
+
+// handleRound applies one round of requests in pid order: exits and
+// every crash and leave the round's syncs trigger first, and only then
+// the notice-or-park decision for each sync — parked ones included
+// when a processor died, since their barrier lost a member. Same-round deaths
+// thus reach every survivor in the same order, smallest pid first, as
+// one notice per Sync. Once the run has failed (an error or the step
+// limit), a sync resumes with that error instead of parking, so no
+// further superstep completes.
+func (v *Virtual) handleRound(st *runState, ctxs []*vctx, round []*vrequest) {
+	sort.Slice(round, func(a, b int) bool { return round[a].pid < round[b].pid })
+	deaths := false
+	arrivals := round[:0]
+	for _, r := range round {
+		if r.kind == 'd' {
+			v.handleDone(st, r)
+			continue
+		}
+		pid := r.pid
+		r.ord = st.syncOrd[pid]
+		st.syncOrd[pid]++
+		// Checkpoint saves ride every sync request, even one about to
+		// fail: they are program state, not step data.
+		v.stageSaves(st, pid, r.saves)
+		switch {
+		case st.firstErr != nil:
+			r.resume <- st.firstErr
+		case st.mem.isDead(pid):
+			// A dead processor's program swallowed the crash error and
+			// synced again; it stays dead.
+			r.resume <- fmt.Errorf("%w (p%d)", errCrashStop, pid)
+		case v.Chaos.CrashNow(pid, r.ord, st.clocks[pid]):
+			v.crash(st, r, "crash-stop")
+			deaths = true
+		case v.Chaos.LeaveNow(pid, r.ord):
+			v.crash(st, r, "leave")
+			deaths = true
+		default:
+			arrivals = append(arrivals, r)
+		}
+	}
+	if deaths {
+		for pid, r := range st.pending {
+			if r != nil && v.notify(st, ctxs, r) {
+				st.unpark(pid)
+			}
+		}
+	}
+	for _, r := range arrivals {
+		if !v.notify(st, ctxs, r) {
+			st.park(r)
+		}
+	}
 }
 
 // handleDone records one processor goroutine's exit: its program
@@ -578,7 +561,7 @@ func (v *Virtual) handleDone(st *runState, req *vrequest) {
 }
 
 // quiesceDead blocks until every dead processor's goroutine has exited,
-// draining its remaining requests meanwhile. A crash victim is resumed
+// serving its remaining requests meanwhile. A crash victim is resumed
 // with its error and then unwinds user code — code that may read the
 // tree (fault-tolerant collectives walk scope leaves to report their
 // live view) — so the coordinator must not rebalance the tree while a
@@ -587,105 +570,31 @@ func (v *Virtual) handleDone(st *runState, req *vrequest) {
 // to send requests are the unwinding dead, and their syncs resolve
 // immediately (a dead requester never parks).
 func (v *Virtual) quiesceDead(st *runState, ctxs []*vctx) {
-	for {
-		unwinding := false
-		for pid := range st.dead {
-			if !st.done[pid] {
-				unwinding = true
-				break
-			}
-		}
-		if !unwinding {
-			return
-		}
-		req := <-st.reqs
-		switch req.kind {
-		case 'd':
-			v.handleDone(st, req)
-		case 's':
-			v.handleSync(st, ctxs, req)
-		}
+	for st.mem.anyDead(func(pid int) bool { return !st.done[pid] }) {
+		v.handleRound(st, ctxs, []*vrequest{<-st.reqs})
 	}
 }
 
-// handleSync stamps, fault-checks and (if clean) parks one sync
-// request. Three fault paths short-circuit the parking: the requester is
-// already dead, the requester crash-stops now, or the requested scope
-// holds dead members this requester has not yet been told about.
-func (v *Virtual) handleSync(st *runState, ctxs []*vctx, req *vrequest) {
-	pid := req.pid
-	req.ord = st.syncOrd[pid]
-	st.syncOrd[pid]++
-	// Checkpoint saves ride every sync request, even one about to fail:
-	// they are program state, not step data.
-	v.stageSaves(st, pid, req.saves)
-
-	if st.dead[pid] != nil {
-		// A dead processor's program swallowed the crash error and
-		// synced again; it stays dead.
-		req.resume <- fmt.Errorf("%w (p%d)", errCrashStop, pid)
-		return
+// notify hands a syncing processor its next membership notice on the
+// scope it syncs on, if the core holds one for it: the staged view
+// refreshes, a death charges the detection deadline to its clock, and
+// the sync resumes with the typed error. It reports whether a notice
+// was delivered. A join carries no detection charge: it is planned at
+// the cut, not detected by a deadline.
+func (v *Virtual) notify(st *runState, ctxs []*vctx, r *vrequest) bool {
+	notice := st.mem.notice(r.pid, r.scope)
+	switch notice.(type) {
+	case nil:
+		return false
+	case *ErrPeerFailed:
+		st.clocks[r.pid] += v.detectCharge(st, r.pid, r.scope)
+		ctxs[r.pid].clock = st.clocks[r.pid]
+		ctxs[r.pid].failedView = st.mem.failed(r.pid)
+	case *ErrPeerJoined:
+		ctxs[r.pid].membersView = st.mem.members(r.pid)
 	}
-	if v.Chaos.CrashNow(pid, req.ord, st.clocks[pid]) {
-		v.crash(st, ctxs, pid, req, "crash-stop")
-		return
-	}
-	if v.Chaos.LeaveNow(pid, req.ord) {
-		v.crash(st, ctxs, pid, req, "leave")
-		return
-	}
-	if firstDead, ok := v.unackedDead(st, pid, req.scope); ok {
-		v.failSync(st, ctxs, pid, req.scope, firstDead, req)
-		return
-	}
-	if firstJoin, ok := v.unackedJoin(st, pid, req.scope); ok {
-		v.joinSync(st, ctxs, pid, req.scope, firstJoin, req)
-		return
-	}
-	st.pending[pid] = req
-}
-
-// unackedJoin returns the smallest joined (activated-latecomer) pid in
-// scope the given processor has not acknowledged, if any. The requester
-// itself counts: a newcomer burns the same notice generation as
-// everyone else, which is what keeps per-scope generations aligned.
-func (v *Virtual) unackedJoin(st *runState, pid int, scope *model.Machine) (int, bool) {
-	if len(st.joined) == 0 {
-		return 0, false
-	}
-	first, found := -1, false
-	for _, l := range scope.Leaves() {
-		lp := v.tree.Pid(l)
-		if _, ok := st.joined[lp]; ok && !st.ackedJoin[pid][scope][lp] {
-			if !found || lp < first {
-				first, found = lp, true
-			}
-		}
-	}
-	return first, found
-}
-
-// joinSync delivers ErrPeerJoined for one sync attempt: it acknowledges
-// every joined member of the scope for the requester, stages its
-// updated membership view, and resumes it with the typed error. Unlike
-// failSync there is no detection charge — a join is planned at the cut,
-// not detected by a deadline.
-func (v *Virtual) joinSync(st *runState, ctxs []*vctx, pid int, scope *model.Machine, firstJoin int, req *vrequest) {
-	if st.ackedJoin[pid] == nil {
-		st.ackedJoin[pid] = make(map[*model.Machine]map[int]bool)
-	}
-	if st.ackedJoin[pid][scope] == nil {
-		st.ackedJoin[pid][scope] = make(map[int]bool)
-	}
-	for _, l := range scope.Leaves() {
-		lp := v.tree.Pid(l)
-		if _, ok := st.joined[lp]; ok {
-			st.ackedJoin[pid][scope][lp] = true
-			st.knownActive[pid][lp] = true
-		}
-	}
-	ctxs[pid].membersView = sortedPids(st.knownActive[pid])
-	req.resume <- &ErrPeerJoined{Pid: firstJoin, Step: st.joined[firstJoin]}
+	r.resume <- notice
+	return true
 }
 
 // stageSaves folds one processor's Save()d state into the run's staging
@@ -707,20 +616,21 @@ func (v *Virtual) stageSaves(st *runState, pid int, saves map[string][]byte) {
 }
 
 // crash marks the requester dead, discards its outbox (crash-stop loses
-// the superstep in progress), purges messages addressed to it, and
-// notifies every parked survivor whose scope contains it. An orderly
-// leave (cause "leave") rides the same machinery: the departure is
-// announced at the boundary and survivors shrink their barriers exactly
-// as for a crash, but the victim unwinds with errLeave and the cause
-// distinguishes churn from failure in every report.
-func (v *Virtual) crash(st *runState, ctxs []*vctx, pid int, req *vrequest, cause string) {
+// the superstep in progress) and purges messages addressed to it; the
+// round then notifies every survivor whose scope contains it. An
+// orderly leave (cause "leave") rides the same machinery: the departure
+// is announced at the boundary and survivors shrink their barriers
+// exactly as for a crash, but the victim unwinds with errLeave and the
+// cause distinguishes churn from failure in every report.
+func (v *Virtual) crash(st *runState, req *vrequest, cause string) {
+	pid := req.pid
 	victimErr := errCrashStop
 	fate := "crash"
 	if cause == "leave" {
 		victimErr, fate = errLeave, "leave"
 	}
 	v.Obsv.Chaos(fate, req.ord, pid, pid, st.clocks[pid])
-	st.dead[pid] = &failInfo{step: req.ord, cause: cause}
+	st.mem.kill(pid, req.ord, cause)
 	req.resume <- fmt.Errorf("%w (p%d at step %d)", victimErr, pid, req.ord)
 
 	rest := st.undelivered[:0]
@@ -730,166 +640,26 @@ func (v *Virtual) crash(st *runState, ctxs []*vctx, pid int, req *vrequest, caus
 		}
 	}
 	st.undelivered = rest
-
-	for waiter, r := range st.pending {
-		if r == nil || !v.scopeContains(r.scope, pid) {
-			continue
-		}
-		st.pending[waiter] = nil
-		v.failSync(st, ctxs, waiter, r.scope, pid, r)
-	}
-}
-
-// scopeContains reports whether the scope's leaf set includes pid.
-func (v *Virtual) scopeContains(scope *model.Machine, pid int) bool {
-	for _, l := range scope.Leaves() {
-		if v.tree.Pid(l) == pid {
-			return true
-		}
-	}
-	return false
-}
-
-// unackedDead returns the smallest dead pid in scope the given
-// processor has not acknowledged, if any.
-func (v *Virtual) unackedDead(st *runState, pid int, scope *model.Machine) (int, bool) {
-	if len(st.dead) == 0 {
-		return 0, false
-	}
-	first, found := -1, false
-	for _, l := range scope.Leaves() {
-		lp := v.tree.Pid(l)
-		if st.dead[lp] != nil && !st.acked[pid][scope][lp] {
-			if !found || lp < first {
-				first, found = lp, true
-			}
-		}
-	}
-	return first, found
-}
-
-// failSync delivers ErrPeerFailed for one sync attempt: it acknowledges
-// every dead member of the scope for the requester, charges the
-// detection deadline to its clock, stages its updated Failed view, and
-// resumes it with the typed error.
-func (v *Virtual) failSync(st *runState, ctxs []*vctx, pid int, scope *model.Machine, firstDead int, req *vrequest) {
-	if st.acked[pid] == nil {
-		st.acked[pid] = make(map[*model.Machine]map[int]bool)
-	}
-	if st.acked[pid][scope] == nil {
-		st.acked[pid][scope] = make(map[int]bool)
-	}
-	for _, l := range scope.Leaves() {
-		lp := v.tree.Pid(l)
-		if st.dead[lp] != nil {
-			st.acked[pid][scope][lp] = true
-		}
-	}
-	st.clocks[pid] += v.detectCharge(st, pid, scope)
-	ctxs[pid].clock = st.clocks[pid]
-	union := make(map[int]bool)
-	for _, perScope := range st.acked[pid] {
-		for dp := range perScope {
-			union[dp] = true
-		}
-	}
-	ctxs[pid].failedView = sortedPids(union)
-	info := st.dead[firstDead]
-	req.resume <- &ErrPeerFailed{Pid: firstDead, Step: info.step, Cause: info.cause}
 }
 
 // membershipCut activates every dormant processor whose JoinAt point
-// has been reached: its clock starts at the cut's virtual time, its
-// membership and failure views are seeded, and its goroutine spawns.
-// From the next sync on, every member of every scope containing it —
-// the newcomer included — burns one notice generation (ErrPeerJoined)
-// per scope, which re-aligns barrier generations without renumbering.
+// has been reached: the core seeds its views, its clock starts at the
+// cut's virtual time, and its goroutine spawns. From the next sync on,
+// every member of every scope containing it — the newcomer included —
+// burns one notice generation (ErrPeerJoined) per scope, which
+// re-aligns barrier generations without renumbering.
 func (v *Virtual) membershipCut(st *runState, ctxs []*vctx, now float64) {
-	if len(st.dormant) == 0 {
-		return
-	}
-	var act []int
-	for pid := range st.dormant {
-		if v.Chaos.JoinStep(pid) <= st.globalSteps {
-			act = append(act, pid)
-		}
-	}
-	if len(act) == 0 {
-		return
-	}
-	sort.Ints(act)
+	act := st.mem.due(st.globalSteps)
+	st.mem.activate(act, st.globalSteps)
 	for _, pid := range act {
-		delete(st.dormant, pid)
-	}
-	for _, pid := range act {
-		st.joined[pid] = st.globalSteps
-		ka := make(map[int]bool, len(ctxs))
-		for q := range ctxs {
-			if !st.dormant[q] {
-				ka[q] = true
-			}
-		}
-		st.knownActive[pid] = ka
-		ctxs[pid].membersView = sortedPids(ka)
+		ctxs[pid].membersView = st.mem.members(pid)
+		ctxs[pid].failedView = st.mem.failed(pid)
 		st.clocks[pid] = now
 		ctxs[pid].clock = now
-		v.seedAcks(st, ctxs, pid)
 		v.Obsv.Chaos("join", st.globalSteps, pid, pid, now)
 		st.spawn(pid)
 		st.running++
 	}
-}
-
-// seedAcks copies, per scope, a live old member's acknowledged dead and
-// joined sets onto a newcomer. The failure protocol keeps those sets
-// identical across all live members of a scope at a global cut, so the
-// newcomer inherits exactly the pending notices the old members still
-// owe — it will burn the same notice generations they will, keeping
-// per-scope sync generations aligned. Scopes with no live old member
-// need no seeding: the newcomer's notices there race nobody.
-func (v *Virtual) seedAcks(st *runState, ctxs []*vctx, pid int) {
-	v.tree.Root.Walk(func(scope *model.Machine) {
-		donor := -1
-		for _, l := range scope.Leaves() {
-			lp := v.tree.Pid(l)
-			if lp == pid || st.dormant[lp] || st.dead[lp] != nil || st.joined[lp] == st.globalSteps {
-				continue
-			}
-			if donor < 0 || lp < donor {
-				donor = lp
-			}
-		}
-		if donor < 0 {
-			return
-		}
-		if deadSet := st.acked[donor][scope]; len(deadSet) > 0 {
-			if st.acked[pid] == nil {
-				st.acked[pid] = make(map[*model.Machine]map[int]bool)
-			}
-			cp := make(map[int]bool, len(deadSet))
-			for d := range deadSet {
-				cp[d] = true
-			}
-			st.acked[pid][scope] = cp
-		}
-		if joinSet := st.ackedJoin[donor][scope]; len(joinSet) > 0 {
-			if st.ackedJoin[pid] == nil {
-				st.ackedJoin[pid] = make(map[*model.Machine]map[int]bool)
-			}
-			cp := make(map[int]bool, len(joinSet))
-			for j := range joinSet {
-				cp[j] = true
-			}
-			st.ackedJoin[pid][scope] = cp
-		}
-	})
-	union := make(map[int]bool)
-	for _, perScope := range st.acked[pid] {
-		for dp := range perScope {
-			union[dp] = true
-		}
-	}
-	ctxs[pid].failedView = sortedPids(union)
 }
 
 // detectCharge is the failure-detection deadline on the virtual clock:
@@ -919,24 +689,6 @@ func (v *Virtual) detectCharge(st *runState, pid int, scope *model.Machine) floa
 	return factor * predicted * float64(int(1)<<backoff)
 }
 
-// stuck reports whether all unfinished processors are blocked with no
-// releasable scope.
-func (v *Virtual) stuck(st *runState, running int) bool {
-	blocked := 0
-	for pid := range st.pending {
-		if st.pending[pid] != nil {
-			blocked++
-		}
-	}
-	if blocked == 0 || blocked != running {
-		return false
-	}
-	// A desync also occurs when a processor has exited while another
-	// waits on a scope containing it; release() found nothing, so if
-	// every live processor is blocked the run cannot progress.
-	return true
-}
-
 func (v *Virtual) desyncError(st *runState) error {
 	var parts []string
 	for pid, r := range st.pending {
@@ -953,9 +705,8 @@ func (v *Virtual) desyncError(st *runState) error {
 }
 
 // release completes every scope whose entire live leaf set is pending
-// on it. Dead processors are excluded: their failure has already been
-// acknowledged by every pending member (failSyncReq guarantees a
-// processor only parks on a scope whose dead members it has acked).
+// on it. Dead processors are excluded: a processor only parks on a
+// scope once it has acknowledged every dead member of it.
 func (v *Virtual) release(st *runState, ctxs []*vctx) {
 	seen := map[*model.Machine]bool{}
 	for pid := range st.pending {
@@ -964,36 +715,34 @@ func (v *Virtual) release(st *runState, ctxs []*vctx) {
 			continue
 		}
 		seen[r.scope] = true
-		leaves := r.scope.Leaves()
 		ready := true
 		live := 0
-		for _, l := range leaves {
-			lp := v.tree.Pid(l)
-			if st.dead[lp] != nil || st.dormant[lp] {
+		for _, q := range st.mem.scope(r.scope) {
+			if !st.mem.live(q) {
 				continue
 			}
 			live++
-			if q := st.pending[lp]; q == nil || q.scope != r.scope {
+			if w := st.pending[q]; w == nil || w.scope != r.scope {
 				ready = false
 				break
 			}
 		}
 		if ready && live > 0 {
-			v.completeStep(st, ctxs, r.scope, leaves)
+			v.completeStep(st, ctxs, r.scope)
 		}
 	}
 }
 
 // completeStep charges and finishes one super^i-step over the scope's
 // live participants.
-func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine, leaves []*model.Machine) {
+func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine) {
+	members := st.mem.scope(scope)
 	var pids []int
-	inScope := make(map[int]bool, len(leaves))
-	for _, l := range leaves {
-		lp := v.tree.Pid(l)
-		inScope[lp] = true
-		if st.dead[lp] == nil && !st.dormant[lp] {
-			pids = append(pids, lp)
+	inScope := make(map[int]bool, len(members))
+	for _, q := range members {
+		inScope[q] = true
+		if st.mem.live(q) {
+			pids = append(pids, q)
 		}
 	}
 	sort.Ints(pids)
@@ -1046,11 +795,11 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 			rest = append(rest, m)
 			continue
 		}
-		if st.dormant[m.dst] {
+		if st.mem.isDormant(m.dst) {
 			rest = append(rest, m) // not yet joined: hold until activation
 			continue
 		}
-		if st.dead[m.dst] != nil {
+		if st.mem.isDead(m.dst) {
 			continue // addressed to a corpse: drop
 		}
 		if !m.fated {
@@ -1209,17 +958,7 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 			} else {
 				planReorged = true
 				v.Obsv.Reorg(st.epoch, plan.Moved, end)
-				// A rebalance can move a leaf under a scope whose members
-				// acknowledged a death or join it only saw elsewhere.
-				// Equalize per-scope ack sets across the live processors so
-				// a moved-in member never burns a notice generation its new
-				// peers do not — the notice protocol's core invariant is
-				// that a scope's members hold identical ack sets.
-				skip := func(pid int) bool {
-					return st.dormant[pid] || st.dead[pid] != nil
-				}
-				equalizeAcks(st.acked, skip)
-				equalizeAcks(st.ackedJoin, skip)
+				st.mem.rebalanced()
 			}
 		}
 		// Plan hooks fire before membershipCut spawns newcomers: once a
@@ -1227,15 +966,9 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 		// joiner must find the invalidated cache, not a stale one. A
 		// pending activation is itself a membership change.
 		if v.Plan != nil {
-			joins := false
-			for pid := range st.dormant {
-				if v.Chaos.JoinStep(pid) <= st.globalSteps {
-					joins = true
-					break
-				}
-			}
-			if planReorged || joins || len(st.dead) != st.planDead {
-				st.planDead = len(st.dead)
+			joins := len(st.mem.due(st.globalSteps)) > 0
+			if planReorged || joins || st.mem.ndead != st.planDead {
+				st.planDead = st.mem.ndead
 				v.Plan.TreeChanged(v.tree, planOldFP)
 			}
 			v.Plan.GlobalBarrier(v.tree, st.globalSteps)
@@ -1267,8 +1000,6 @@ func (v *Virtual) completeStep(st *runState, ctxs []*vctx, scope *model.Machine,
 	for _, pid := range pids {
 		st.clocks[pid] = end + ckptCost[pid]
 		ctxs[pid].clock = st.clocks[pid]
-		r := st.pending[pid]
-		st.pending[pid] = nil
-		r.resume <- nil
+		st.unpark(pid).resume <- nil
 	}
 }
