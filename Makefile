@@ -15,9 +15,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs hbspk-vet, the model-invariant checkers of internal/analysis
-# (sync discipline, communication topology, buffer lifetimes, buffer
-# reuse, SPMD alignment, buffer ownership, dropped errors, cost
-# parameters, lock order, stale ignore directives), over every package
+# (SPMD alignment, communication topology, delivered-buffer lifetimes,
+# buffer ownership and sent-data reuse, dropped errors, cost parameters
+# and bounds, lock order, stale ignore directives), over every package
 # including tests.
 lint:
 	$(GO) run ./cmd/hbspk-vet ./...

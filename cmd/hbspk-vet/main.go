@@ -1,8 +1,8 @@
 // Command hbspk-vet is the HBSP^k multichecker: it applies the
-// internal/analysis suite — syncdiscipline, commgraph, syncflow,
-// bufreuse, pidtaint, bufown, uncheckedrun, costparams, costbound,
-// lockorder — to the packages named on the command line and exits
-// non-zero if any invariant of the programming model is violated.
+// internal/analysis suite — pidtaint, commgraph, syncflow, bufown,
+// uncheckedrun, costparams, costbound, lockorder — to the packages
+// named on the command line and exits non-zero if any invariant of the
+// programming model is violated.
 //
 // Usage:
 //
@@ -29,9 +29,9 @@
 //
 //	hbspk-vet -conform-graph g.json -conform-events run.jsonl
 //
-// SPMD alignment only (the pidtaint analyzer, DESIGN.md §5.8):
+// A subset of the suite, e.g. SPMD alignment only (DESIGN.md §5.8):
 //
-//	hbspk-vet -align ./...
+//	hbspk-vet -run pidtaint ./...
 //
 // Diagnostics print as file:line:col: message (analyzer), or as a JSON
 // array of {file, line, col, endLine, endCol, analyzer, message}
@@ -57,16 +57,18 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"hbspk/internal/analysis"
-	"hbspk/internal/plan"
 	"hbspk/internal/model"
 	"hbspk/internal/obsv"
+	"hbspk/internal/plan"
 )
 
 // jsonDiagnostic is the -json wire form of one finding. End positions
@@ -83,40 +85,56 @@ type jsonDiagnostic struct {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes findings to stdout
+// and failures to stderr, and returns the exit code documented above.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("hbspk-vet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		listOnly  = flag.Bool("list", false, "list the analyzers and exit")
-		noTests   = flag.Bool("skip-tests", false, "do not analyze _test.go files")
-		only      = flag.String("run", "", "comma-separated analyzer names to run (default all)")
-		asJSON    = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		sarifOut  = flag.String("sarif", "", "write findings as a SARIF 2.1.0 log to this path (- for stdout)")
-		alignOnly = flag.Bool("align", false, "run only the SPMD alignment analyzer (pidtaint)")
-		cost      = flag.Bool("cost", false, "print symbolic per-superstep cost bounds for the analyzed functions")
-		treeName  = flag.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): evaluates -cost bounds and enables variantcheck advice")
-		costRatio = flag.Float64("cost-ratio", 1.5, "variantcheck advice threshold: report when another variant is this many times cheaper")
-		graphOut  = flag.String("commgraph-out", "", "write the static communication graph as hbspk-commgraph/1 JSON to this path (- for stdout)")
-		confGraph = flag.String("conform-graph", "", "conformance gate: static commgraph JSON (from -commgraph-out)")
-		confEv    = flag.String("conform-events", "", "conformance gate: run events JSONL (from hbspk-sim -events-out)")
+		listOnly  = flags.Bool("list", false, "list the analyzers and exit")
+		noTests   = flags.Bool("skip-tests", false, "do not analyze _test.go files")
+		only      = flags.String("run", "", "comma-separated analyzer names to run (default all)")
+		asJSON    = flags.Bool("json", false, "emit findings as a JSON array on stdout")
+		sarifOut  = flags.String("sarif", "", "write findings as a SARIF 2.1.0 log to this path (- for stdout)")
+		cost      = flags.Bool("cost", false, "print symbolic per-superstep cost bounds for the analyzed functions")
+		treeName  = flags.String("tree", "", "machine tree (preset ucf, figure1, grid, chain, or JSON spec path): evaluates -cost bounds and enables variantcheck advice")
+		costRatio = flags.Float64("cost-ratio", 1.5, "variantcheck advice threshold: report when another variant is this many times cheaper")
+		graphOut  = flags.String("commgraph-out", "", "write the static communication graph as hbspk-commgraph/1 JSON to this path (- for stdout)")
+		confGraph = flags.String("conform-graph", "", "conformance gate: static commgraph JSON (from -commgraph-out)")
+		confEv    = flags.String("conform-events", "", "conformance gate: run events JSONL (from hbspk-sim -events-out)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	if *listOnly {
 		for _, a := range analysis.All() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
-		fmt.Printf("%-16s %s\n", analysis.StaleIgnoreName,
+		fmt.Fprintf(stdout, "%-16s %s\n", analysis.StaleIgnoreName,
 			"report //hbspk:ignore directives that suppress nothing (always on)")
-		fmt.Printf("%-16s %s\n", analysis.VariantCheckName,
+		fmt.Fprintf(stdout, "%-16s %s\n", analysis.VariantCheckName,
 			"advise statically-profitable collective-variant switches (requires -tree; advisory)")
-		return
+		return 0
 	}
 
 	// Conformance gate mode: no packages are loaded, the two artifacts
 	// are checked against each other.
 	if *confGraph != "" || *confEv != "" {
 		if *confGraph == "" || *confEv == "" {
-			fatal(fmt.Errorf("hbspk-vet: the conformance gate needs both -conform-graph and -conform-events"))
+			return fail(fmt.Errorf("hbspk-vet: the conformance gate needs both -conform-graph and -conform-events"))
 		}
-		os.Exit(runConformance(*confGraph, *confEv))
+		return runConformance(*confGraph, *confEv, stdout, stderr)
 	}
 
 	var tree *model.Tree
@@ -124,19 +142,13 @@ func main() {
 		var err error
 		tree, err = loadTree(*treeName)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
-	if *alignOnly {
-		if *only != "" {
-			fatal(fmt.Errorf("hbspk-vet: -align and -run are mutually exclusive"))
-		}
-		*only = "pidtaint"
-	}
 	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if tree != nil {
 		analyzers = append(analyzers, analysis.VariantCheck(tree, *costRatio))
@@ -144,43 +156,43 @@ func main() {
 
 	moduleDir, err := findModuleRoot()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	loader, err := analysis.NewLoader(moduleDir)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	loader.IncludeTests = !*noTests
 
-	patterns := flag.Args()
+	patterns := flags.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *graphOut != "" {
 		doc := analysis.CommGraphDocOf(pkgs, loader.ModulePath)
-		if err := writeGraph(doc, *graphOut); err != nil {
-			fatal(err)
+		if err := writeOut(*graphOut, stdout, doc.WriteJSON); err != nil {
+			return fail(err)
 		}
 	}
 	if *cost {
-		printCostBounds(pkgs, moduleDir, tree)
+		printCostBounds(stdout, pkgs, moduleDir, tree)
 	}
 
 	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	errors, advice := 0, 0
+	findings, advice := 0, 0
 	for _, d := range diags {
 		if d.Analyzer == analysis.VariantCheckName {
 			advice++
 		} else {
-			errors++
+			findings++
 		}
 	}
 	if *sarifOut != "" {
@@ -189,20 +201,16 @@ func main() {
 			advisory[analysis.VariantCheckName] = "advise statically-profitable collective-variant switches"
 		}
 		doc := analysis.SARIFDoc(loader.Fset(), diags, analyzers, moduleDir, advisory)
-		if err := writeSARIF(doc, *sarifOut); err != nil {
-			fatal(err)
+		if err := writeOut(*sarifOut, stdout, doc.WriteSARIF); err != nil {
+			return fail(err)
 		}
 	}
 	if *asJSON {
 		out := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {
 			pos := loader.Fset().Position(d.Pos)
-			rel, relErr := filepath.Rel(moduleDir, pos.Filename)
-			if relErr != nil {
-				rel = pos.Filename
-			}
 			jd := jsonDiagnostic{
-				File: rel, Line: pos.Line, Col: pos.Column,
+				File: relPath(moduleDir, pos.Filename), Line: pos.Line, Col: pos.Column,
 				Analyzer: d.Analyzer, Message: d.Message,
 				Advice: d.Analyzer == analysis.VariantCheckName,
 			}
@@ -212,69 +220,75 @@ func main() {
 			}
 			out = append(out, jd)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		for _, d := range diags {
 			pos := loader.Fset().Position(d.Pos)
-			rel, relErr := filepath.Rel(moduleDir, pos.Filename)
-			if relErr != nil {
-				rel = pos.Filename
-			}
-			fmt.Printf("%s:%d:%d: %s (%s)\n", rel, pos.Line, pos.Column, d.Message, d.Analyzer)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", relPath(moduleDir, pos.Filename), pos.Line, pos.Column, d.Message, d.Analyzer)
 		}
 	}
 	switch {
-	case errors > 0:
-		fmt.Fprintf(os.Stderr, "hbspk-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-		os.Exit(1)
+	case findings > 0:
+		fmt.Fprintf(stderr, "hbspk-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
+		return 1
 	case advice > 0:
-		fmt.Fprintf(os.Stderr, "hbspk-vet: %d advisory finding(s) in %d package(s)\n", advice, len(pkgs))
-		os.Exit(3)
+		fmt.Fprintf(stderr, "hbspk-vet: %d advisory finding(s) in %d package(s)\n", advice, len(pkgs))
+		return 3
 	}
+	return 0
+}
+
+// relPath renders a diagnostic's file relative to the module root.
+func relPath(moduleDir, file string) string {
+	if rel, err := filepath.Rel(moduleDir, file); err == nil {
+		return rel
+	}
+	return file
 }
 
 // runConformance executes the static↔runtime gate and returns the exit
 // code: 0 on conformance, 1 on unexplained deliveries, 2 on bad input.
-func runConformance(graphPath, eventsPath string) int {
+func runConformance(graphPath, eventsPath string, stdout, stderr io.Writer) int {
 	gf, err := os.Open(graphPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	defer gf.Close()
 	doc, err := obsv.ParseCommGraph(gf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	ef, err := os.Open(eventsPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	defer ef.Close()
 	deliveries, err := obsv.ReadDeliveries(ef)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	rep := obsv.CheckConformance(doc, deliveries)
-	fmt.Print(rep.String())
+	fmt.Fprint(stdout, rep.String())
 	if !rep.OK() {
-		fmt.Fprintf(os.Stderr, "hbspk-vet: conformance gate FAILED: %d unexplained delivery class(es)\n", len(rep.Unexplained))
+		fmt.Fprintf(stderr, "hbspk-vet: conformance gate FAILED: %d unexplained delivery class(es)\n", len(rep.Unexplained))
 		return 1
 	}
 	return 0
 }
 
-// writeSARIF encodes the SARIF log to path ("-" for stdout).
-func writeSARIF(doc *analysis.SARIFLog, path string) error {
+// writeOut encodes a document with write to path ("-" for stdout),
+// creating the parent directory if needed.
+func writeOut(path string, stdout io.Writer, write func(io.Writer) error) error {
 	if path == "-" {
-		return doc.WriteSARIF(os.Stdout)
+		return write(stdout)
 	}
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -285,27 +299,17 @@ func writeSARIF(doc *analysis.SARIFLog, path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return doc.WriteSARIF(f)
-}
-
-// writeGraph encodes the commgraph document to path ("-" for stdout).
-func writeGraph(doc *obsv.CommGraphDoc, path string) error {
-	if path == "-" {
-		return doc.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	defer f.Close()
-	return doc.WriteJSON(f)
+	return f.Close()
 }
 
 // printCostBounds renders the symbolic per-superstep cost bounds of
 // every communicating function; with a tree, bounds whose sizes all
 // fold are also evaluated.
-func printCostBounds(pkgs []*analysis.Package, moduleDir string, tree *model.Tree) {
+func printCostBounds(w io.Writer, pkgs []*analysis.Package, moduleDir string, tree *model.Tree) {
 	env := &analysis.CostEnv{Tree: tree}
 	for _, pkg := range pkgs {
 		pass := &analysis.Pass{
@@ -320,14 +324,10 @@ func printCostBounds(pkgs []*analysis.Package, moduleDir string, tree *model.Tre
 		if len(costs) == 0 {
 			continue
 		}
-		fmt.Printf("package %s\n", pkg.Path)
+		fmt.Fprintf(w, "package %s\n", pkg.Path)
 		for _, fc := range costs {
 			pos := pkg.Fset.Position(fc.Pos)
-			rel, err := filepath.Rel(moduleDir, pos.Filename)
-			if err != nil {
-				rel = pos.Filename
-			}
-			fmt.Printf("  %s (%s:%d)\n", fc.Name, rel, pos.Line)
+			fmt.Fprintf(w, "  %s (%s:%d)\n", fc.Name, relPath(moduleDir, pos.Filename), pos.Line)
 			for _, st := range fc.Steps {
 				bound := st.Cost()
 				loop := ""
@@ -338,23 +338,23 @@ func printCostBounds(pkgs []*analysis.Package, moduleDir string, tree *model.Tre
 				if sync == "" {
 					sync = "(no closing barrier)"
 				}
-				fmt.Printf("    step %d%s  %s\n      T <= %s\n", st.Index, loop, sync, bound)
+				fmt.Fprintf(w, "    step %d%s  %s\n      T <= %s\n", st.Index, loop, sync, bound)
 				if tree != nil {
 					if v, err := bound.Eval(env); err == nil {
-						fmt.Printf("      = %.4g on this tree\n", v)
+						fmt.Fprintf(w, "      = %.4g on this tree\n", v)
 					}
 				}
 			}
 		}
 	}
 	if tree != nil {
-		fmt.Printf("\nvariant switchpoints on this tree (payloads 16 B .. 16 MB):\n")
+		fmt.Fprintf(w, "\nvariant switchpoints on this tree (payloads 16 B .. 16 MB):\n")
 		rows := plan.SwitchpointTable(tree, 16, 16<<20)
 		if len(rows) == 0 {
-			fmt.Println("  none: each family's cheapest variant never changes in range")
+			fmt.Fprintln(w, "  none: each family's cheapest variant never changes in range")
 		}
 		for _, r := range rows {
-			fmt.Printf("  %-14s %s -> %s at n >= %d bytes\n", r.Family, r.From, r.To, r.N)
+			fmt.Fprintf(w, "  %-14s %s -> %s at n >= %d bytes\n", r.Family, r.From, r.To, r.N)
 		}
 	}
 }
@@ -418,9 +418,4 @@ func findModuleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
 }

@@ -5,18 +5,27 @@
 // analyzers themselves.
 //
 // The analyzers encode the correctness invariants of the HBSP^k
-// programming model (§5.1's HBSPlib) that the compiler cannot check:
+// programming model (§5.1's HBSPlib) that the compiler cannot check,
+// one analyzer per rule:
 //
-//   - syncdiscipline: Sync/barrier calls must not sit under
-//     processor-divergent control flow — every processor of a scope must
-//     sync the same number of times, or the concurrent engine deadlocks.
-//   - bufreuse: pvm.Buffers must not be packed into after they were
-//     sent, and message payloads must not be mutated after Send — engines
-//     may share the sender's bytes.
+//   - pidtaint: every processor of a scope must reach the same sequence
+//     of synchronizing operations; pid-divergent branches and loops are
+//     compared on their sync sequences, interprocedurally.
+//   - commgraph: per-superstep send/recv topology — no sends left
+//     unmatched after the last barrier, no Moves() read before the
+//     first delivery window, no processor-divergent scope arguments.
+//   - syncflow: delivered buffers (the Moves() window) must not be read
+//     past a later Sync.
+//   - bufown: pooled wire buffers are released exactly once and never
+//     touched after release; sent data is never touched again (no
+//     resend, no packing into a sent *pvm.Buffer, no mutation of a
+//     []byte payload after Ctx.Send queued it).
 //   - uncheckedrun: errors from Run/Sync/Send/collective calls must not
 //     be dropped; a swallowed desync error is a silent wrong answer.
 //   - costparams: literal model parameters (g, r, L, c shares) must be
 //     in their valid ranges, and trees must be normalized before running.
+//   - costbound: symbolic per-superstep cost bounds; reports the
+//     hand-rolled flat fan-out that ignores the hierarchy.
 //   - lockorder: no inverted mutex acquisition orders, and no lock may
 //     be taken while holding pvm.System's leaf lock.
 //
@@ -72,8 +81,8 @@ type Pass struct {
 	pkg *Package
 }
 
-// ignoreKey identifies one suppression directive: the bare form and
-// each named form on a line are distinct directives.
+// ignoreKey identifies one suppression directive by its line and the
+// analyzer it names ("" for the bare form).
 func ignoreKey(file string, line int, name string) string {
 	return fmt.Sprintf("%s:%d:%s", file, line, name)
 }
@@ -144,7 +153,7 @@ func (p *Pass) buildNoLint() {
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, ok := parseIgnore(c.Text)
+				name, ok := parseIgnore(c.Text)
 				if !ok {
 					continue
 				}
@@ -157,59 +166,37 @@ func (p *Pass) buildNoLint() {
 				if lines[position.Line] == nil {
 					lines[position.Line] = make(map[string]bool)
 				}
-				for _, name := range names {
-					lines[position.Line][name] = true
-				}
+				lines[position.Line][name] = true
 			}
 		}
 	}
 }
 
 // parseIgnore recognizes `//hbspk:ignore` (the bare form, returned as
-// the single name ""), `//hbspk:ignore name ...`, and the multi-name
-// form `//hbspk:ignore name1,name2 ...` — one line occasionally needs
-// to silence two analyzers whose checks overlap (bufreuse and bufown
-// both see a deliberate resend under test).
-func parseIgnore(text string) (names []string, ok bool) {
+// the name "") and `//hbspk:ignore name ...`: the first word names the
+// analyzer, the rest of the comment is the audit note.
+func parseIgnore(text string) (name string, ok bool) {
 	const prefix = "//hbspk:ignore"
 	if len(text) < len(prefix) || text[:len(prefix)] != prefix {
-		return nil, false
+		return "", false
 	}
 	rest := text[len(prefix):]
 	if len(rest) > 0 && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, false // e.g. //hbspk:ignored is not a directive
+		return "", false // e.g. //hbspk:ignored is not a directive
 	}
-	for len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
-		rest = rest[1:]
+	fields := strings.Fields(rest)
+	if len(fields) == 0 {
+		return "", true
 	}
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == ' ' || rest[i] == '\t' {
-			rest = rest[:i]
-			break
-		}
-	}
-	if rest == "" {
-		return []string{""}, true
-	}
-	for _, name := range strings.Split(rest, ",") {
-		if name != "" {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return []string{""}, true
-	}
-	return names, true
+	return fields[0], true
 }
 
 // All returns the full hbspk-vet suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SyncDiscipline,
 		PidTaint,
 		CommGraph,
 		SyncFlow,
-		BufReuse,
 		BufOwn,
 		UncheckedRun,
 		CostParams,
@@ -274,37 +261,8 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 		}
 		diags = append(diags, staleIgnores(pkg, ran, fired)...)
 	}
-	diags = dedupeOverlapping(diags, ran)
 	sortDiagnostics(pkgs, diags)
 	return diags, firstErr
-}
-
-// dedupeOverlapping drops the shallower of two findings that diagnose
-// the same defect at the same position: bufown's path-sensitive
-// ownership proofs subsume bufreuse's source-order resend and
-// pack-after-send reports, so when both analyzers ran and both fired on
-// one call, only bufown's (which names the offending path) survives.
-func dedupeOverlapping(diags []Diagnostic, ran map[string]bool) []Diagnostic {
-	if !ran[BufOwn.Name] || !ran[BufReuse.Name] {
-		return diags
-	}
-	owned := make(map[token.Pos]bool)
-	for _, d := range diags {
-		if d.Analyzer == BufOwn.Name {
-			owned[d.Pos] = true
-		}
-	}
-	if len(owned) == 0 {
-		return diags
-	}
-	out := diags[:0]
-	for _, d := range diags {
-		if d.Analyzer == BufReuse.Name && owned[d.Pos] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }
 
 // staleIgnores reports each suppression directive in pkg that no
@@ -323,41 +281,35 @@ func staleIgnores(pkg *Package, ran map[string]bool, fired map[string]bool) []Di
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, ok := parseIgnore(c.Text)
-				if !ok {
+				name, ok := parseIgnore(c.Text)
+				if !ok || (name == "" && !fullSuite) {
 					continue
 				}
-				for _, name := range names {
-					if name == "" && !fullSuite {
-						continue
-					}
-					if name != "" && !known[name] {
-						pos := c.Pos()
-						out = append(out, Diagnostic{
-							Pos:      pos,
-							Analyzer: StaleIgnoreName,
-							Message: fmt.Sprintf(
-								"//hbspk:ignore %s names no analyzer (renamed or removed?): the directive silences nothing", name),
-						})
-						continue
-					}
-					if name != "" && !ran[name] {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					if fired[ignoreKey(pos.Filename, pos.Line, name)] {
-						continue
-					}
-					what := "//hbspk:ignore"
-					if name != "" {
-						what += " " + name
-					}
+				if name != "" && !known[name] {
 					out = append(out, Diagnostic{
 						Pos:      c.Pos(),
 						Analyzer: StaleIgnoreName,
-						Message:  fmt.Sprintf("stale %s: the directive suppresses nothing on its line", what),
+						Message: fmt.Sprintf(
+							"//hbspk:ignore %s names no analyzer (renamed or removed?): the directive silences nothing", name),
 					})
+					continue
 				}
+				if name != "" && !ran[name] {
+					continue
+				}
+				pos := pkg.Fset.Position(c.Pos())
+				if fired[ignoreKey(pos.Filename, pos.Line, name)] {
+					continue
+				}
+				what := "//hbspk:ignore"
+				if name != "" {
+					what += " " + name
+				}
+				out = append(out, Diagnostic{
+					Pos:      c.Pos(),
+					Analyzer: StaleIgnoreName,
+					Message:  fmt.Sprintf("stale %s: the directive suppresses nothing on its line", what),
+				})
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // BufOwn is a path-sensitive linear-ownership checker for the
@@ -25,11 +26,20 @@ import (
 //   - Buffer() on a released message, or any use of a *Buffer that
 //     aliases one — the bytes may already back an unrelated message;
 //   - a Send of a buffer whose ownership was already transferred by an
-//     earlier Send (the path-sensitive deepening of bufreuse's
-//     source-ordered resend rule);
+//     earlier Send, and a Pack* into it afterwards — the fabric owns
+//     the sent buffer's bytes;
+//   - a store, append or copy into a []byte payload after Ctx.Send
+//     queued it (a sub-slice send covers the whole slice): engines may
+//     deliver the sender's bytes without copying;
 //   - Release while the message's bytes are in flight: m.Buffer()
 //     wraps the pooled record, so handing it to Send and then releasing
 //     recycles bytes the receiver hasn't read yet.
+//
+// A *Buffer not built in this body (a parameter) is tracked from its
+// first send. Rebinding a local to a fresh value resets its tracking.
+// Deferred sends replay at every exit in LIFO order, the order they
+// execute, so packing below a `defer t.Send(…, buf)` is not a
+// pack-after-send.
 //
 // The checker is deliberately conservative at joins: a state weakened
 // to MaybeOwned or MaybeTransferred never reports a leak on its own
@@ -40,7 +50,7 @@ import (
 // exceptions carry `//hbspk:ignore bufown`.
 var BufOwn = &Analyzer{
 	Name: "bufown",
-	Doc:  "enforce release-exactly-once ownership of pooled wire buffers, path-sensitively",
+	Doc:  "enforce release-exactly-once ownership of pooled wire buffers and no reuse of sent data, path-sensitively",
 	Run:  runBufOwn,
 }
 
@@ -49,7 +59,12 @@ func runBufOwn(pass *Pass) error {
 		funcBodies(f, func(name string, body *ast.BlockStmt) {
 			w := &ownWalker{pass: pass, reported: make(map[token.Pos]bool)}
 			w.lastRange = collectLastRanges(pass.TypesInfo, body)
-			w.block(body.List, newOwnEnv())
+			env := newOwnEnv()
+			fl := w.stmts(body.List, env)
+			if fl == flowNormal {
+				w.runDefers(env)
+			}
+			w.settle(nil, fl, env)
 		})
 	}
 	return nil
@@ -89,11 +104,12 @@ const (
 )
 
 const (
-	resMsg = iota // a pvm.Message holding a wire reference
-	resBuf        // a *pvm.Buffer from NewBuffer (send-side)
+	resMsg     = iota // a pvm.Message holding a wire reference
+	resBuf            // a *pvm.Buffer from NewBuffer (send-side)
+	resPayload        // a []byte queued by Ctx.Send; always transferred
 )
 
-// res is the tracked state of one message or buffer local.
+// res is the tracked state of one message, buffer or payload local.
 type res struct {
 	kind     int
 	state    ownState
@@ -107,10 +123,12 @@ type res struct {
 }
 
 // ownEnv maps locals to ownership state; sliceSrc marks locals holding
-// a TryRecvAll result whose elements acquire ownership when ranged.
+// a TryRecvAll result whose elements acquire ownership when ranged;
+// defers lists the deferred sends pending on this path, in push order.
 type ownEnv struct {
 	vars     map[types.Object]*res
 	sliceSrc map[types.Object]bool
+	defers   []*ast.CallExpr
 }
 
 func newOwnEnv() *ownEnv {
@@ -126,6 +144,7 @@ func (e *ownEnv) clone() *ownEnv {
 	for obj := range e.sliceSrc {
 		c.sliceSrc[obj] = true
 	}
+	c.defers = append(c.defers, e.defers...)
 	return c
 }
 
@@ -152,6 +171,11 @@ func (e *ownEnv) merge(b *ownEnv) {
 	}
 	for obj := range b.sliceSrc {
 		e.sliceSrc[obj] = true
+	}
+	for _, d := range b.defers {
+		if !slices.Contains(e.defers, d) {
+			e.defers = append(e.defers, d)
+		}
 	}
 }
 
@@ -199,17 +223,26 @@ func (w *ownWalker) reportf(pos, end token.Pos, format string, args ...any) {
 	w.pass.ReportRangef(pos, end, format, args...)
 }
 
-// block interprets a statement list, then leak-checks every resource
-// acquired inside it that is still definitely owned on the fallthrough
-// exit — the variable's scope is over, so nothing can release it later.
+// block interprets a statement list, then settles the resources
+// acquired inside it.
 func (w *ownWalker) block(stmts []ast.Stmt, env *ownEnv) flow {
 	before := make(map[types.Object]bool, len(env.vars))
 	for obj := range env.vars {
 		before[obj] = true
 	}
 	fl := w.stmts(stmts, env)
+	w.settle(before, fl, env)
+	return fl
+}
+
+// settle leak-checks every message acquired in a finished block (those
+// not in before) that is still definitely owned on the fallthrough exit
+// — the variable's scope is over, so nothing can release it later — and
+// drops them. Sent payloads stay tracked: Send marks a variable that
+// may be declared outside the block.
+func (w *ownWalker) settle(before map[types.Object]bool, fl flow, env *ownEnv) {
 	for obj, r := range env.vars {
-		if before[obj] {
+		if before[obj] || r.kind == resPayload {
 			continue
 		}
 		if fl == flowNormal && r.kind == resMsg && r.state == stOwned && !r.deferred {
@@ -218,7 +251,6 @@ func (w *ownWalker) block(stmts []ast.Stmt, env *ownEnv) flow {
 		}
 		delete(env.vars, obj)
 	}
-	return fl
 }
 
 func (w *ownWalker) stmts(stmts []ast.Stmt, env *ownEnv) flow {
@@ -230,10 +262,20 @@ func (w *ownWalker) stmts(stmts []ast.Stmt, env *ownEnv) flow {
 	return flowNormal
 }
 
-// exitCheck reports every message still definitely owned when the
-// function exits here; deferred releases and escapes discharge the
-// obligation, Maybe states stay silent by design.
+// runDefers replays the deferred sends pending on this path, last
+// pushed first: the order they execute on the way out.
+func (w *ownWalker) runDefers(env *ownEnv) {
+	for i := len(env.defers) - 1; i >= 0; i-- {
+		w.useExpr(env.defers[i], env)
+	}
+}
+
+// exitCheck runs the pending deferred sends, then reports every message
+// still definitely owned when the function exits here; deferred
+// releases and escapes discharge the obligation, Maybe states stay
+// silent by design.
 func (w *ownWalker) exitCheck(pos, end token.Pos, env *ownEnv, onPanic bool) {
+	w.runDefers(env)
 	for obj, r := range env.vars {
 		if r.kind != resMsg || r.state != stOwned || r.deferred {
 			continue
@@ -292,6 +334,9 @@ func (w *ownWalker) stmt(s ast.Stmt, env *ownEnv) flow {
 					for _, v := range vs.Values {
 						w.useExpr(v, env)
 					}
+					for _, name := range vs.Names {
+						delete(env.vars, w.pass.TypesInfo.Defs[name])
+					}
 				}
 			}
 		}
@@ -305,10 +350,17 @@ func (w *ownWalker) stmt(s ast.Stmt, env *ownEnv) flow {
 		w.escapeIn(st.Call, env)
 		return flowNormal
 	case *ast.SendStmt:
+		// A tracked value sent bare changes hands; calls in the sent
+		// value are evaluated (errs <- t.Send(a, 1, buf) sends buf).
 		w.useExpr(st.Chan, env)
-		w.escapeIn(st.Value, env)
+		if obj := identObj(w.pass.TypesInfo, st.Value); obj != nil {
+			w.escapeObj(obj, env)
+		} else {
+			w.useExpr(st.Value, env)
+		}
 		return flowNormal
 	case *ast.IncDecStmt:
+		w.storeTo(st.X, env)
 		w.useExpr(st.X, env)
 		return flowNormal
 	case *ast.IfStmt:

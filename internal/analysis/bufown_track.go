@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // The tracking half of bufown: recognizing acquisitions (Recv and
@@ -89,18 +90,18 @@ func (w *ownWalker) assign(st *ast.AssignStmt, env *ownEnv) {
 			// m2 := m / x.field = m: the value now has a second name or
 			// lives in the heap; both retire it.
 			if obj := identObj(info, rhs); obj != nil {
-				if _, tracked := env.vars[obj]; tracked {
-					w.escapeObj(obj, env)
-				}
-				if env.sliceSrc[obj] {
-					w.escapeSlice(obj, env)
-				}
+				w.escapeObj(obj, env)
 			}
 		}
 		if obj := identObj(info, lhs); obj != nil {
+			// payload = append(payload, …) still aliases the sent bytes.
+			if r := env.vars[obj]; r != nil && r.kind == resPayload && rhs != nil && exprMentions(info, rhs, obj) {
+				continue
+			}
 			delete(env.vars, obj)
 			delete(env.sliceSrc, obj)
 		} else {
+			w.storeTo(lhs, env)
 			w.useExpr(lhs, env)
 		}
 	}
@@ -190,18 +191,21 @@ func (w *ownWalker) escapeIn(e ast.Node, env *ownEnv) {
 		if id, ok := n.(*ast.Ident); ok {
 			if obj := identObj(info, id); obj != nil {
 				w.escapeObj(obj, env)
-				if env.sliceSrc[obj] {
-					w.escapeSlice(obj, env)
-				}
 			}
 		}
 		return true
 	})
 }
 
+// escapeObj retires a tracked message, buffer or TryRecvAll slice. A
+// sent payload never escapes: the write rule judges only this body's
+// own writes, which stay wrong whoever else holds the slice.
 func (w *ownWalker) escapeObj(obj types.Object, env *ownEnv) {
-	if r, ok := env.vars[obj]; ok {
+	if r, ok := env.vars[obj]; ok && r.kind != resPayload {
 		r.state = stEscaped
+	}
+	if env.sliceSrc[obj] {
+		w.escapeSlice(obj, env)
 	}
 }
 
@@ -220,6 +224,11 @@ func (w *ownWalker) escapeSlice(obj types.Object, env *ownEnv) {
 // evalCall applies one call's ownership effects.
 func (w *ownWalker) evalCall(call *ast.CallExpr, env *ownEnv) {
 	info := w.pass.TypesInfo
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && len(call.Args) > 0 {
+		if bi, ok := info.Uses[id].(*types.Builtin); ok && (bi.Name() == "append" || bi.Name() == "copy") {
+			w.payloadWrite(bi.Name(), call.Args[0], call, env)
+		}
+	}
 	fn := calleeFunc(info, call)
 	name := ""
 	if fn != nil {
@@ -266,9 +275,18 @@ func (w *ownWalker) evalCall(call *ast.CallExpr, env *ownEnv) {
 				ownerName = r.aliasOf.Name()
 			}
 		}
-		if owner.kind == resMsg && owner.state == stReleased {
+		switch {
+		case owner.kind == resMsg && owner.state == stReleased:
 			w.reportf(call.Pos(), call.End(),
 				"use of buffer %q after message %q was released: the pooled bytes may be recycled", robj.Name(), ownerName)
+		case !strings.HasPrefix(name, "Pack"):
+		case owner.state == stTransferred:
+			w.reportf(call.Pos(), call.End(),
+				"%s into buffer %q already sent at line %d: the fabric owns the sent bytes, pack into a fresh buffer",
+				name, ownerName, w.pass.Fset.Position(owner.sentAt).Line)
+		case owner.state == stMaybeTransferred:
+			w.reportf(call.Pos(), call.End(),
+				"%s into buffer %q that may already have been sent on some paths: pack into a fresh buffer", name, ownerName)
 		}
 		return
 	case sendNames[name]:
@@ -291,12 +309,7 @@ func (w *ownWalker) evalCall(call *ast.CallExpr, env *ownEnv) {
 			}
 			if id, ok := n.(*ast.Ident); ok {
 				if obj := identObj(info, id); obj != nil {
-					if _, tracked := env.vars[obj]; tracked {
-						w.escapeObj(obj, env)
-					}
-					if env.sliceSrc[obj] {
-						w.escapeSlice(obj, env)
-					}
+					w.escapeObj(obj, env)
 				}
 			}
 			return true
@@ -306,7 +319,8 @@ func (w *ownWalker) evalCall(call *ast.CallExpr, env *ownEnv) {
 
 // sendCall transfers ownership of *Buffer arguments to the fabric and
 // reports re-sends — including on a state only some paths transferred,
-// which is a bug on exactly those paths.
+// which is a bug on exactly those paths. Ctx.Send(dst, tag, payload)
+// marks the payload's variable sent, whatever its earlier state.
 func (w *ownWalker) sendCall(call *ast.CallExpr, env *ownEnv) {
 	info := w.pass.TypesInfo
 	for _, arg := range call.Args {
@@ -324,13 +338,21 @@ func (w *ownWalker) sendCall(call *ast.CallExpr, env *ownEnv) {
 			continue
 		}
 		r, tracked := env.vars[obj]
-		if !tracked {
-			continue
-		}
-		if r.kind == resBuf {
+		switch {
+		case !tracked && typeNameOf(obj.Type()) == "Buffer":
+			// A buffer from elsewhere (a parameter, a field load) is
+			// tracked from its first send on.
+			env.vars[obj] = &res{kind: resBuf, state: stTransferred, sentAt: arg.Pos()}
+		case !tracked:
+		case r.kind == resBuf:
 			w.transferBuf(arg, obj, env)
-		} else {
+		default:
 			w.escapeObj(obj, env)
+		}
+	}
+	if rt := receiverType(info, call); rt != nil && isCtxType(rt) && len(call.Args) == 3 {
+		if obj := payloadObj(info, call.Args[2]); obj != nil {
+			env.vars[obj] = &res{kind: resPayload, state: stTransferred, sentAt: call.Args[2].Pos()}
 		}
 	}
 }
@@ -392,6 +414,9 @@ func (w *ownWalker) rangeStmt(st *ast.RangeStmt, env *ownEnv) flow {
 	}
 
 	body := func(e *ownEnv) flow {
+		// Each iteration binds the loop variables afresh.
+		delete(e.vars, identObj(info, st.Key))
+		delete(e.vars, identObj(info, st.Value))
 		if elemObj != nil {
 			e.vars[elemObj] = &res{kind: resMsg, state: stOwned, acq: st.Value.Pos(), elemOf: srcObj}
 		}
@@ -425,8 +450,17 @@ func (w *ownWalker) deferStmt(st *ast.DeferStmt, env *ownEnv) {
 	info := w.pass.TypesInfo
 	call := st.Call
 
+	fn := calleeFunc(info, call)
+
+	// defer t.Send(…, buf): the transfer happens on the way out, after
+	// everything the body does to buf.
+	if fn != nil && sendNames[fn.Name()] {
+		env.defers = append(env.defers, call)
+		return
+	}
+
 	// defer m.Release(): the canonical panic-safe discharge.
-	if fn := calleeFunc(info, call); fn != nil && fn.Name() == "Release" {
+	if fn != nil && fn.Name() == "Release" {
 		if robj := identObj(info, receiverExpr(call)); robj != nil {
 			if r, ok := env.vars[robj]; ok && r.kind == resMsg {
 				if r.deferred {
@@ -486,4 +520,56 @@ func closureReleases(info *types.Info, lit *ast.FuncLit, env *ownEnv) (released,
 		}
 	}
 	return released, others
+}
+
+// storeTo reports an indexed store (payload[i] = x, payload[a:b][i]++)
+// into a payload Ctx.Send already queued.
+func (w *ownWalker) storeTo(lhs ast.Expr, env *ownEnv) {
+	if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+		w.payloadWrite("store", ix.X, lhs, env)
+	}
+}
+
+// payloadWrite reports a write (op: store, append, copy) into target
+// when it names a payload Ctx.Send already queued: engines may deliver
+// the sender's slice itself, so the write races with the receiver.
+func (w *ownWalker) payloadWrite(op string, target ast.Expr, at ast.Node, env *ownEnv) {
+	obj := payloadObj(w.pass.TypesInfo, target)
+	if obj == nil {
+		return
+	}
+	if r, ok := env.vars[obj]; ok && r.kind == resPayload {
+		w.reportf(at.Pos(), at.End(),
+			"%s into payload %q after Send queued it at line %d: engines may share the sender's bytes",
+			op, obj.Name(), w.pass.Fset.Position(r.sentAt).Line)
+	}
+}
+
+// payloadObj resolves expressions naming a []byte variable: the bare
+// identifier or a slice of it (payload[a:b] still aliases payload).
+func payloadObj(info *types.Info, e ast.Expr) types.Object {
+	e = ast.Unparen(e)
+	if sl, ok := e.(*ast.SliceExpr); ok {
+		e = ast.Unparen(sl.X)
+	}
+	obj := identObj(info, e)
+	if obj == nil {
+		return nil
+	}
+	if sl, ok := obj.Type().Underlying().(*types.Slice); ok && isBasic(sl.Elem(), types.Uint8) {
+		return obj
+	}
+	return nil
+}
+
+// exprMentions reports whether e references obj.
+func exprMentions(info *types.Info, e ast.Expr, obj types.Object) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && identObj(info, id) == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

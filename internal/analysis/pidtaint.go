@@ -25,11 +25,12 @@ import (
 // where `if c.Pid() == root` guards extra sends but equal barriers —
 // are aligned and pass.
 //
-// Where syncdiscipline flags any synchronizing call lexically under
-// divergent control (the blunt, always-sound rule), pidtaint proves the
-// sharper property the HBSP^k model actually requires: the *sequence*
-// of synchronizing operations is identical across processors. Its
-// findings are the subset that genuinely desync.
+// The rule is not "no Sync under divergent control" — that blunt form
+// flags the coordinator idiom and mirrored arms — but the property the
+// HBSP^k model actually requires: the *sequence* of synchronizing
+// operations is identical across processors. Each finding is anchored
+// on the controlling if/switch condition or loop bound, not on the
+// synchronizing call inside it.
 //
 // Arms are compared on their sync-token projection: structural markers
 // (early-return `$`, break `^`, uniform-alternative grouping) are
@@ -77,6 +78,95 @@ func runPidTaint(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// divergentFuncNames are package-level enquiry helpers whose results
+// differ per processor when handed a Ctx.
+var divergentFuncNames = map[string]bool{
+	"Rank": true, "Coordinator": true, "Speed": true, "Share": true,
+}
+
+// collectPidTaint returns the set of local variables derived from
+// processor identity, via a forward pass over the body in source order
+// (assignments in Go programs flow forward; a fixpoint is not needed for
+// the straight-line derivations this analyzer targets).
+func collectPidTaint(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
+	tainted := make(map[types.Object]bool)
+	isDivergent := func(e ast.Expr) bool {
+		return exprDivergent(pass, e, tainted)
+	}
+	walkBody(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range st.Lhs {
+				var rhs ast.Expr
+				if len(st.Rhs) == len(st.Lhs) {
+					rhs = st.Rhs[i]
+				} else if len(st.Rhs) == 1 {
+					rhs = st.Rhs[0]
+				}
+				if rhs == nil || !isDivergent(rhs) {
+					continue
+				}
+				if obj := identObj(pass.TypesInfo, lhs); obj != nil {
+					tainted[obj] = true
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range st.Names {
+				var rhs ast.Expr
+				if len(st.Values) == len(st.Names) {
+					rhs = st.Values[i]
+				} else if len(st.Values) == 1 {
+					rhs = st.Values[0]
+				}
+				if rhs == nil || !isDivergent(rhs) {
+					continue
+				}
+				if obj := pass.TypesInfo.Defs[name]; obj != nil {
+					tainted[obj] = true
+				}
+			}
+		}
+		return true
+	})
+	return tainted
+}
+
+// exprDivergent reports whether e's value depends on the processor's
+// identity: it mentions a Pid/Self enquiry on a Ctx, a divergent helper
+// call, Moves() (delivered messages differ per processor), or a tainted
+// local.
+func exprDivergent(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch x := n.(type) {
+		case *ast.Ident:
+			if obj := identObj(pass.TypesInfo, x); obj != nil && tainted[obj] {
+				found = true
+			}
+		case *ast.CallExpr:
+			fn := calleeFunc(pass.TypesInfo, x)
+			if fn == nil {
+				return true
+			}
+			if rt := receiverType(pass.TypesInfo, x); rt != nil && isCtxType(rt) {
+				switch fn.Name() {
+				case "Pid", "Self", "Moves":
+					found = true
+				}
+				return true
+			}
+			if divergentFuncNames[fn.Name()] && len(x.Args) > 0 && isCtxType(pass.TypesInfo.TypeOf(x.Args[0])) {
+				found = true
+			}
+		}
+		return true
+	})
+	return found
 }
 
 // seqEnd terminates every sequence: the function's exit. An early

@@ -258,3 +258,214 @@ func drainForward(t *Task, rest func([]Message, error) error) error {
 	}
 	return nil
 }
+
+// --- sent data is never touched again ---
+
+type Machine struct{}
+
+type Ctx interface {
+	Pid() int
+	Send(dst, tag int, payload []byte) error
+	Sync(scope *Machine, label string) error
+}
+
+func (b *Buffer) PackBytes(p []byte) *Buffer { return b }
+
+// Packing into a sent buffer writes bytes the fabric now owns.
+func packAfterSend(t *Task) error {
+	buf := NewBuffer()
+	buf.PackInt32(1)
+	if err := t.Send(1, 7, buf); err != nil {
+		return err
+	}
+	buf.PackInt32(2)         // want `PackInt32 into buffer "buf" already sent at line 278`
+	return t.Send(2, 7, buf) // want `buffer "buf" sent again: ownership transferred to the fabric at line 278`
+}
+
+func packAfterMcast(t *Task) error {
+	buf := NewBuffer().PackBytes([]byte("hello"))
+	if err := t.Mcast([]TID{1, 2}, 3, buf); err != nil {
+		return err
+	}
+	buf.PackBytes([]byte("tail")) // want `PackBytes into buffer "buf" already sent at line 287`
+	return nil
+}
+
+func packOnSomePaths(t *Task, urgent bool) {
+	buf := NewBuffer()
+	if urgent {
+		_ = t.Send(1, 7, buf)
+	}
+	buf.PackInt32(3) // want `PackInt32 into buffer "buf" that may already have been sent on some paths`
+}
+
+func resendWithoutPacking(t *Task) error {
+	buf := NewBuffer().PackInt32(1)
+	if err := t.Send(1, 7, buf); err != nil {
+		return err
+	}
+	return t.Send(2, 7, buf) // want `buffer "buf" sent again`
+}
+
+// Ctx.Send may deliver the sender's slice itself: every later write
+// into it races with the receiver.
+func mutatePayloadAfterSend(c Ctx, scope *Machine) error {
+	payload := []byte("abc")
+	if err := c.Send(1, 0, payload); err != nil {
+		return err
+	}
+	payload[0] = 'z' // want `store into payload "payload" after Send queued it at line 314`
+	return c.Sync(scope, "step")
+}
+
+func appendPayloadAfterSend(c Ctx) error {
+	payload := make([]byte, 0, 16)
+	payload = append(payload, 1, 2, 3)
+	if err := c.Send(1, 0, payload); err != nil {
+		return err
+	}
+	payload = append(payload, 4) // want `append into payload "payload" after Send queued it`
+	payload[1]++                 // want `store into payload "payload" after Send queued it`
+	return nil
+}
+
+func copyIntoSentPayload(c Ctx, fresh []byte) error {
+	payload := make([]byte, 8)
+	if err := c.Send(1, 0, payload); err != nil {
+		return err
+	}
+	copy(payload, fresh) // want `copy into payload "payload" after Send queued it`
+	return nil
+}
+
+func sliceOfSentPayload(c Ctx) error {
+	payload := make([]byte, 8)
+	if err := c.Send(1, 0, payload[:4]); err != nil {
+		return err
+	}
+	payload[5] = 1 // want `store into payload "payload" after Send queued it`
+	return nil
+}
+
+// The next iteration's store reaches the bytes the previous one sent.
+func storeAcrossIterations(c Ctx, scope *Machine, rounds int) error {
+	out := make([]byte, 4)
+	for r := 0; r < rounds; r++ {
+		out[0] = byte(r) // want `store into payload "out" after Send queued it`
+		if err := c.Send(1, 0, out); err != nil {
+			return err
+		}
+		if err := c.Sync(scope, "round"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// A resend inside a channel send is still a resend.
+func resendIntoChannel(t *Task, errs chan<- error) {
+	buf := NewBuffer().PackInt32(7)
+	if err := t.Send(1, 1, buf); err != nil {
+		errs <- err
+		return
+	}
+	errs <- t.Send(1, 1, buf) // want `buffer "buf" sent again`
+}
+
+// Deferred sends run last-pushed first: the defer on the line below
+// executes before this one, so this one is the second send.
+func deferredDoubleSend(t *Task, dst TID) {
+	buf := NewBuffer().PackInt32(1)
+	defer t.Send(dst, 1, buf) // want `buffer "buf" sent again: ownership transferred to the fabric at line 380`
+	defer t.Send(dst, 2, buf)
+}
+
+// --- sent data: safe patterns ---
+
+func freshBufferPerMessage(t *Task) error {
+	for dst := TID(0); dst < 4; dst++ {
+		buf := NewBuffer()
+		buf.PackInt32(int32(dst))
+		if err := t.Send(dst, 7, buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func rebindResets(t *Task) error {
+	buf := NewBuffer().PackInt32(1)
+	if err := t.Send(1, 7, buf); err != nil {
+		return err
+	}
+	buf = NewBuffer()
+	buf.PackInt32(2)
+	return t.Send(2, 7, buf)
+}
+
+func freshPayloadAfterSend(c Ctx) error {
+	payload := []byte("abc")
+	if err := c.Send(1, 0, payload); err != nil {
+		return err
+	}
+	payload = []byte("new backing array")
+	payload[0] = 'z'
+	return nil
+}
+
+// One payload to several destinations is a broadcast, not a reuse.
+func samePayloadManyDestinations(c Ctx, scope *Machine, data []byte) error {
+	for dst := 0; dst < 4; dst++ {
+		if err := c.Send(dst, 0, data); err != nil {
+			return err
+		}
+	}
+	return c.Sync(scope, "bcast")
+}
+
+// Per-iteration payloads are fresh slices, however they are declared.
+func freshPayloadPerIteration(c Ctx, rows [][]byte) error {
+	for _, row := range rows {
+		row[0] = 1
+		var out []byte
+		out = append(out, row...)
+		if err := c.Send(1, 0, out); err != nil {
+			return err
+		}
+		if err := c.Send(2, 0, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// A deferred send runs after the body: packing below the defer happens
+// before the buffer is handed to the fabric, so nothing is reused.
+func deferredSendThenPack(t *Task, dst TID) {
+	buf := NewBuffer()
+	defer t.Send(dst, 1, buf)
+	buf.PackInt32(42)
+}
+
+// defer msg.Release() is cleanup, not reuse.
+func deferReleaseIsCleanup(t *Task, m Message, dst TID) error {
+	defer m.Release()
+	buf := NewBuffer().PackInt32(9)
+	return t.Send(dst, 2, buf)
+}
+
+// A buffer handed over a channel bare changes hands: the receiver owns
+// the send.
+func bufferHandedOff(out chan<- *Buffer) {
+	buf := NewBuffer().PackInt32(5)
+	out <- buf
+}
+
+// A buffer handed in by the caller is tracked from its first send.
+func packParamAfterSend(t *Task, buf *Buffer) error {
+	if err := t.Send(1, 7, buf); err != nil {
+		return err
+	}
+	buf.PackInt32(2)         // want `PackInt32 into buffer "buf" already sent`
+	return t.Send(2, 7, buf) // want `buffer "buf" sent again`
+}

@@ -196,3 +196,93 @@ func membershipGuardAborts(c Ctx, scope *Machine, data []byte) error {
 	}
 	return SyncAll(c, "done")
 }
+
+// --- a Sync directly under divergent control: each finding anchors on
+// the controlling condition, not on the Sync inside it ---
+
+func (m *Machine) Coordinator() *Machine { return m }
+
+type Tree struct{ Root *Machine }
+
+func (t *Tree) Pid(m *Machine) int { return 0 }
+
+// treeCtx is a Ctx that can also name the machine tree.
+type treeCtx interface {
+	Ctx
+	Tree() *Tree
+}
+
+func Rank(c Ctx) int { return c.Pid() }
+
+func syncUnderPidIf(c Ctx, scope *Machine, root int) error {
+	if c.Pid() == root { // want `pid-divergent branches synchronize differently`
+		return c.Sync(scope, "root only")
+	}
+	return nil
+}
+
+// Taint flows through locals derived from the pid.
+func syncUnderTaintedLocal(c Ctx, scope *Machine) error {
+	me := c.Pid()
+	amRoot := me == 0
+	if amRoot { // want `pid-divergent branches synchronize differently`
+		if err := c.Sync(scope, "tainted"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Package-level enquiries handed a Ctx (Rank, Coordinator, Speed,
+// Share) are pid sources too.
+func syncAllUnderRank(c Ctx) error {
+	if Rank(c) == 0 { // want `pid-divergent branches synchronize differently`
+		return SyncAll(c, "fastest only")
+	}
+	return nil
+}
+
+// A tagless switch is divergent when a case expression is.
+func syncUnderDivergentSwitch(c Ctx, scope *Machine, root int) error {
+	switch { // want `pid-divergent switch arms synchronize differently`
+	case c.Pid() != root:
+		return c.Sync(scope, "non-root")
+	}
+	return nil
+}
+
+func syncUnderElse(c Ctx, scope *Machine) error {
+	if c.Pid() == 0 { // want `pid-divergent branches synchronize differently`
+		return nil
+	} else {
+		return c.Sync(scope, "else branch")
+	}
+}
+
+// A loop bounded by a uniform value syncs equally everywhere.
+func uniformLoop(c Ctx, scope *Machine, rounds int) error {
+	for i := 0; i < rounds; i++ {
+		if err := c.Sync(scope, "round"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Tree lookups are processor-independent: every processor computes the
+// same coordinator pid.
+func treePidIsNotDivergent(c treeCtx, scope *Machine) error {
+	rootPid := c.Tree().Pid(scope.Coordinator())
+	if rootPid == 0 {
+		return c.Sync(scope, "tree lookup is processor-independent")
+	}
+	return nil
+}
+
+// An audited divergence carries the directive on the controlling line.
+func suppressed(c Ctx, scope *Machine) error {
+	if c.Pid() == 0 { //hbspk:ignore pidtaint
+		return c.Sync(scope, "audited")
+	}
+	return nil
+}

@@ -32,3 +32,12 @@ func renameRot(c Ctx) error {
 	// directive cites the dead name, so the finding below it is live.
 	return c.Send(1, 0, []byte("y")) //hbspk:ignore commtopology // want `unmatched send` `//hbspk:ignore commtopology names no analyzer \(renamed or removed\?\): the directive silences nothing`
 }
+
+// A comma-joined list is not a directive grammar: it reads as one name
+// that no analyzer has, so it silences nothing.
+func commaList(c Ctx) error {
+	if err := c.Sync(nil, "step"); err != nil {
+		return err
+	}
+	return c.Send(1, 0, []byte("z")) //hbspk:ignore commgraph,bufown // want `unmatched send` `//hbspk:ignore commgraph,bufown names no analyzer`
+}

@@ -186,7 +186,7 @@ func TestStepStartEndOrdering(t *testing.T) {
 	rep := runPure(t, tr, func(c Ctx) error {
 		cluster := c.Tree().ScopeAt(c.Self(), 1)
 		if cluster != nil && !cluster.IsLeaf() {
-			if err := c.Sync(cluster, "local"); err != nil { //hbspk:ignore syncdiscipline (scope-uniform: all leaves of one cluster branch together)
+			if err := c.Sync(cluster, "local"); err != nil {
 				return err
 			}
 		}
@@ -217,7 +217,7 @@ func TestReportTimelineFromRealRun(t *testing.T) {
 	rep := runPure(t, tr, func(c Ctx) error {
 		cluster := c.Tree().ScopeAt(c.Self(), 1)
 		if cluster != nil && !cluster.IsLeaf() {
-			if err := c.Sync(cluster, "local"); err != nil { //hbspk:ignore syncdiscipline (scope-uniform: all leaves of one cluster branch together)
+			if err := c.Sync(cluster, "local"); err != nil {
 				return err
 			}
 		}

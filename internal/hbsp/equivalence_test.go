@@ -58,7 +58,7 @@ func runSchedule(t *testing.T, tr *model.Tree, plan [][][]schedItem,
 					return err
 				}
 			}
-			if err := SyncAll(c, fmt.Sprintf("round%d", r)); err != nil { //hbspk:ignore syncdiscipline (plans give every pid the same round count)
+			if err := SyncAll(c, fmt.Sprintf("round%d", r)); err != nil {
 				return err
 			}
 			for _, m := range c.Moves() {

@@ -20,7 +20,7 @@ func sendMutateProg(c Ctx) error {
 		if err := c.Send(1, 0, buf); err != nil {
 			return err
 		}
-		buf[0] = 0xEE //hbspk:ignore bufreuse (deliberate post-send mutation: this is what the verifier must catch)
+		buf[0] = 0xEE //hbspk:ignore bufown (deliberate post-send mutation: this is what the verifier must catch)
 	}
 	return SyncAll(c, "deliver")
 }
