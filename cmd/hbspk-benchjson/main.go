@@ -1,17 +1,22 @@
-// Command hbspk-benchjson converts `go test -bench -benchmem` output
-// into machine-readable JSON, so the benchmark-regression gate can diff
-// runs without scraping text.
+// Command hbspk-benchjson converts `go test -bench` output into
+// machine-readable JSON and checks it against ratio gates, so CI can
+// diff runs and hold the repo's improvement claims without scraping
+// text.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./internal/pvm/ | hbspk-benchjson -o BENCH_PR4.json
-//	hbspk-benchjson -baseline bench/baseline_pre_pr4.txt run1.txt run2.txt
+//	hbspk-benchjson [-o BENCH.json] [-baseline old.txt] [-gates bench/gates.txt] [run.txt ...]
 //
 // Input files (or stdin when none are given) hold raw `go test -bench`
-// output. When -baseline is set, benchmarks present on both sides gain
-// an improvement entry (baseline / current, so values above 1 mean the
-// current run wins), and -min-alloc-improvement can turn a missing
-// speedup into a non-zero exit for CI.
+// output; every row records the package named by the `pkg:` header
+// above it. With -baseline, benchmarks present on both sides gain an
+// improvement entry (baseline / current, so values above 1 mean the
+// current run wins). With -gates, every gate whose package has a
+// `pkg:` header in the input is checked (see parseGate for the line
+// format) and each compared pair is recorded in the JSON.
+//
+// Exit status: 0 when every applicable gate holds, 1 when one fails,
+// 2 on a bad flag, an unreadable input or a malformed gate line.
 package main
 
 import (
@@ -29,12 +34,17 @@ import (
 // Benchmark is one parsed result line.
 type Benchmark struct {
 	Name        string             `json:"name"`
+	Pkg         string             `json:"pkg,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"b_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	MBPerS      float64            `json:"mb_per_s,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+
+	// units holds every value/unit pair of the line, ns/op, B/op and
+	// allocs/op included, so gates treat them like any custom metric.
+	units map[string]float64
 }
 
 // Improvement compares one benchmark across the baseline and current
@@ -46,62 +56,50 @@ type Improvement struct {
 	AllocsFactor float64 `json:"allocs_factor,omitempty"`
 }
 
-// Relative compares two benchmarks from the same run (current/base
-// ratios: 1.0 means parity, above 1 means the current one is slower).
-// Used by the observability overhead gate, where the instrumented-off
-// path must stay within a few percent of the uninstrumented baseline.
-type Relative struct {
-	Name        string  `json:"name"`
-	Base        string  `json:"base"`
-	NsRel       float64 `json:"ns_rel"`
-	AllocsRel   float64 `json:"allocs_rel"`
-	AllocsDelta float64 `json:"allocs_delta"`
-}
-
-// MetricRelative compares one custom b.ReportMetric unit between two
-// benchmarks from the same run (current/base; below 1 means the
-// current one's metric is smaller). Used by the reorg makespan gate,
-// where the rebalanced run must beat the frozen-tree baseline on
-// modeled cost.
-type MetricRelative struct {
+// GatePair is one benchmark checked against its partner under a gate:
+// it passes when Value <= factor × BaseValue.
+type GatePair struct {
+	Gate      string  `json:"gate"`
 	Name      string  `json:"name"`
 	Base      string  `json:"base"`
-	Unit      string  `json:"unit"`
-	Rel       float64 `json:"rel"`
 	Value     float64 `json:"value"`
 	BaseValue float64 `json:"base_value"`
+	Pass      bool    `json:"pass"`
 }
 
 // Report is the emitted document.
 type Report struct {
-	Env             map[string]string `json:"env,omitempty"`
-	Benchmarks      []Benchmark       `json:"benchmarks"`
-	Baseline        []Benchmark       `json:"baseline,omitempty"`
-	Improvements    []Improvement     `json:"improvements,omitempty"`
-	Relatives       []Relative        `json:"relatives,omitempty"`
-	MetricRelatives []MetricRelative  `json:"metric_relatives,omitempty"`
+	Env          map[string]string `json:"env,omitempty"`
+	Benchmarks   []Benchmark       `json:"benchmarks"`
+	Baseline     []Benchmark       `json:"baseline,omitempty"`
+	Improvements []Improvement     `json:"improvements,omitempty"`
+	Gates        []GatePair        `json:"gates,omitempty"`
 }
 
 // gomaxprocsSuffix is the trailing -N go test appends to benchmark
 // names; it is stripped for display and baseline matching.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hbspk-benchjson:", err)
-	os.Exit(1)
-}
-
-// parse reads `go test -bench` output, returning result lines and any
-// header metadata (goos, goarch, pkg, cpu).
-func parse(r io.Reader, env map[string]string) ([]Benchmark, error) {
+// parse reads `go test -bench` output, returning result lines tagged
+// with their package. Header metadata (goos, goarch, cpu) lands in env
+// and every `pkg:` header in pkgs; either may be nil.
+func parse(r io.Reader, env map[string]string, pkgs map[string]bool) ([]Benchmark, error) {
 	var out []Benchmark
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if k, v, ok := strings.Cut(line, ": "); ok && env != nil {
+		if k, v, ok := strings.Cut(line, ": "); ok {
 			switch k {
-			case "goos", "goarch", "pkg", "cpu":
-				env[k] = v
+			case "pkg":
+				pkg = v
+				if pkgs != nil {
+					pkgs[v] = true
+				}
+			case "goos", "goarch", "cpu":
+				if env != nil {
+					env[k] = v
+				}
 			}
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -117,7 +115,9 @@ func parse(r io.Reader, env map[string]string) ([]Benchmark, error) {
 		}
 		b := Benchmark{
 			Name:       gomaxprocsSuffix.ReplaceAllString(f[0], ""),
+			Pkg:        pkg,
 			Iterations: iters,
+			units:      map[string]float64{},
 		}
 		// The rest of the line is value/unit pairs; unknown units are
 		// custom b.ReportMetric metrics.
@@ -126,7 +126,9 @@ func parse(r io.Reader, env map[string]string) ([]Benchmark, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: bad value %q", b.Name, f[i])
 			}
-			switch unit := f[i+1]; unit {
+			unit := f[i+1]
+			b.units[unit] = v
+			switch unit {
 			case "ns/op":
 				b.NsPerOp = v
 			case "B/op":
@@ -147,13 +149,22 @@ func parse(r io.Reader, env map[string]string) ([]Benchmark, error) {
 	return out, sc.Err()
 }
 
-func parseFile(path string, env map[string]string) ([]Benchmark, error) {
+func parseFile(path string, env map[string]string, pkgs map[string]bool) ([]Benchmark, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return parse(f, env)
+	return parse(f, env, pkgs)
+}
+
+// byName indexes rows by package and name.
+func byName(bs []Benchmark) map[string]Benchmark {
+	m := make(map[string]Benchmark, len(bs))
+	for _, b := range bs {
+		m[b.Pkg+" "+b.Name] = b
+	}
+	return m
 }
 
 func ratio(base, cur float64) float64 {
@@ -163,46 +174,158 @@ func ratio(base, cur float64) float64 {
 	return base / cur
 }
 
-func main() {
-	out := flag.String("o", "", "write JSON here instead of stdout")
-	baseline := flag.String("baseline", "", "pre-change `go test -bench` output to diff against")
-	minAlloc := flag.String("min-alloc-improvement", "",
-		"fail unless every benchmark matching prefix improved allocs/op by factor (comma-separated prefix:factor pairs)")
-	maxRel := flag.String("max-rel", "",
-		"fail unless every benchmark with prefix stays within factor of its in-run partner on ns/op and allocs/op (comma-separated prefix=basePrefix:factor clauses)")
-	maxMetricRel := flag.String("max-metric-rel", "",
-		"fail unless every benchmark with prefix keeps the custom metric unit within factor of its in-run partner's (comma-separated prefix=basePrefix:unit:factor clauses)")
-	minPairs := flag.Int("min-pairs", 0,
-		"fail unless the -max-rel/-max-metric-rel gates matched at least this many benchmark pairs in total (guards against a grid silently shrinking out from under the gate)")
-	flag.Parse()
+// gate is one line of a gates file.
+type gate struct {
+	line     string // the line as written, for messages and the report
+	pkg      string // Go package whose benchmarks the gate checks
+	name     string // name prefix of the gated benchmarks
+	unit     string
+	factor   float64
+	base     string // partner name prefix, "baseline:" for the -baseline run
+	minPairs int
+}
 
-	rep := Report{Env: map[string]string{}}
+// parseGate reads one gate line:
+//
+//	PKG NAME UNIT <= FACTOR x BASE pairs>=N
+//
+// Every benchmark of package PKG whose name starts with NAME is paired
+// with the benchmark named BASE plus the rest of its name — in the
+// same run, or in the -baseline run when BASE is `baseline:<prefix>` —
+// and must report UNIT (ns/op, B/op, allocs/op or any b.ReportMetric
+// unit) at most FACTOR times its partner's. At least N pairs must
+// match, so a grid cannot silently shrink out from under the gate.
+func parseGate(line string) (gate, error) {
+	f := strings.Fields(line)
+	if len(f) != 8 || f[3] != "<=" || f[5] != "x" || !strings.HasPrefix(f[7], "pairs>=") {
+		return gate{}, fmt.Errorf("want `PKG NAME UNIT <= FACTOR x BASE pairs>=N`, got %q", line)
+	}
+	g := gate{line: strings.Join(f, " "), pkg: f[0], name: f[1], unit: f[2], base: f[6]}
 	var err error
-	if args := flag.Args(); len(args) > 0 {
-		for _, path := range args {
-			bs, err := parseFile(path, rep.Env)
+	if g.factor, err = strconv.ParseFloat(f[4], 64); err != nil || !(g.factor > 0) {
+		return gate{}, fmt.Errorf("bad factor %q in %q", f[4], line)
+	}
+	if g.minPairs, err = strconv.Atoi(strings.TrimPrefix(f[7], "pairs>=")); err != nil || g.minPairs < 1 {
+		return gate{}, fmt.Errorf("bad pair pin %q in %q (want pairs>=N, N >= 1)", f[7], line)
+	}
+	return g, nil
+}
+
+// parseGates reads a gates file: one gate per line, blank lines and
+// #-comments ignored.
+func parseGates(path string) ([]gate, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var gates []gate
+	for i, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		g, err := parseGate(line)
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %v", path, i+1, err)
+		}
+		gates = append(gates, g)
+	}
+	return gates, nil
+}
+
+// check applies g to the current run, appending every compared pair to
+// rep.Gates so the JSON records the margins even when the gate trips.
+// It returns the first violation. A zero base admits only a zero value,
+// and a zero value satisfies any base.
+func (g gate) check(rep *Report, cur, baseline map[string]Benchmark) error {
+	partners, basePrefix := cur, g.base
+	if p, ok := strings.CutPrefix(g.base, "baseline:"); ok {
+		partners, basePrefix = baseline, p
+	}
+	var firstErr error
+	fail := func(format string, args ...any) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("gate %q: %s", g.line, fmt.Sprintf(format, args...))
+		}
+	}
+	pairs := 0
+	for _, b := range rep.Benchmarks {
+		if b.Pkg != g.pkg || !strings.HasPrefix(b.Name, g.name) {
+			continue
+		}
+		baseName := basePrefix + strings.TrimPrefix(b.Name, g.name)
+		o, ok := partners[g.pkg+" "+baseName]
+		if !ok {
+			fail("%s has no partner %s", b.Name, baseName)
+			continue
+		}
+		v, ok := b.units[g.unit]
+		bv, baseOK := o.units[g.unit]
+		if !ok || !baseOK {
+			fail("%s vs %s: %s missing from one side", b.Name, baseName, g.unit)
+			continue
+		}
+		pairs++
+		pass := v <= g.factor*bv
+		rep.Gates = append(rep.Gates, GatePair{Gate: g.line, Name: b.Name, Base: baseName, Value: v, BaseValue: bv, Pass: pass})
+		if !pass {
+			fail("%s: %.4g %s > %g x %s's %.4g", b.Name, v, g.unit, g.factor, baseName, bv)
+		}
+	}
+	if pairs < g.minPairs {
+		fail("matched %d pairs, need >= %d", pairs, g.minPairs)
+	}
+	return firstErr
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its streams injected; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("hbspk-benchjson", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	out := flags.String("o", "", "write JSON here instead of stdout")
+	baselinePath := flags.String("baseline", "", "earlier `go test -bench` output to diff against and for baseline: gates")
+	gatesPath := flags.String("gates", "", "gates file to check (one `PKG NAME UNIT <= FACTOR x BASE pairs>=N` per line)")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "hbspk-benchjson:", err)
+		return 2
+	}
+
+	var gates []gate
+	var err error
+	if *gatesPath != "" {
+		if gates, err = parseGates(*gatesPath); err != nil {
+			return fatal(err)
+		}
+	}
+	rep := Report{Env: map[string]string{}}
+	pkgs := map[string]bool{}
+	if paths := flags.Args(); len(paths) > 0 {
+		for _, path := range paths {
+			bs, err := parseFile(path, rep.Env, pkgs)
 			if err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 			rep.Benchmarks = append(rep.Benchmarks, bs...)
 		}
-	} else if rep.Benchmarks, err = parse(os.Stdin, rep.Env); err != nil {
-		fatal(err)
+	} else if rep.Benchmarks, err = parse(os.Stdin, rep.Env, pkgs); err != nil {
+		return fatal(err)
 	}
 
-	if *baseline != "" {
-		if rep.Baseline, err = parseFile(*baseline, nil); err != nil {
-			fatal(err)
+	if *baselinePath != "" {
+		if rep.Baseline, err = parseFile(*baselinePath, nil, nil); err != nil {
+			return fatal(err)
 		}
-		base := map[string]Benchmark{}
-		for _, b := range rep.Baseline {
-			base[b.Name] = b
-		}
-		for _, b := range rep.Benchmarks {
-			o, ok := base[b.Name]
-			if !ok {
-				continue
-			}
+	}
+	cur, base := byName(rep.Benchmarks), byName(rep.Baseline)
+	for _, b := range rep.Benchmarks {
+		if o, ok := base[b.Pkg+" "+b.Name]; ok {
 			rep.Improvements = append(rep.Improvements, Improvement{
 				Name:         b.Name,
 				NsFactor:     ratio(o.NsPerOp, b.NsPerOp),
@@ -212,217 +335,34 @@ func main() {
 		}
 	}
 
-	var relErr error
-	if *maxRel != "" {
-		relErr = checkRelGate(&rep, *maxRel)
-	}
-	if *maxMetricRel != "" {
-		if err := checkMetricRelGate(&rep, *maxMetricRel); err != nil && relErr == nil {
-			relErr = err
+	var gateErrs []error
+	for _, g := range gates {
+		if !pkgs[g.pkg] {
+			continue
 		}
-	}
-	// A relative gate that pairs nothing passes vacuously; -min-pairs
-	// turns a shrunken grid into a failure instead.
-	if pairs := len(rep.Relatives) + len(rep.MetricRelatives); *minPairs > 0 && pairs < *minPairs && relErr == nil {
-		relErr = fmt.Errorf("relative gates matched %d benchmark pairs, need >= %d", pairs, *minPairs)
+		if err := g.check(&rep, cur, base); err != nil {
+			gateErrs = append(gateErrs, err)
+		}
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	data = append(data, '\n')
 	if *out != "" {
 		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-	} else {
-		os.Stdout.Write(data)
+	} else if _, err := stdout.Write(data); err != nil {
+		return fatal(err)
 	}
 
-	if *minAlloc != "" {
-		if err := checkAllocGate(rep, *minAlloc); err != nil {
-			fatal(err)
-		}
+	for _, err := range gateErrs {
+		fmt.Fprintln(stderr, "hbspk-benchjson:", err)
 	}
-	if relErr != nil {
-		fatal(relErr)
+	if len(gateErrs) > 0 {
+		return 1
 	}
-}
-
-// checkRelGate enforces "prefix=basePrefix:factor" in-run pair limits:
-// every benchmark whose name starts with prefix must have a partner in
-// the same run (prefix swapped for basePrefix) and stay within factor
-// of it on ns/op and allocs/op. Computed pairs are appended to
-// rep.Relatives so the JSON artifact records the margins even when the
-// gate trips.
-func checkRelGate(rep *Report, spec string) error {
-	byName := map[string]Benchmark{}
-	for _, b := range rep.Benchmarks {
-		byName[b.Name] = b
-	}
-	var firstErr error
-	for _, clause := range strings.Split(spec, ",") {
-		pair, factorStr, ok := strings.Cut(clause, ":")
-		prefix, basePrefix, ok2 := strings.Cut(pair, "=")
-		if !ok || !ok2 {
-			return fmt.Errorf("bad -max-rel clause %q (want prefix=basePrefix:factor)", clause)
-		}
-		limit, err := strconv.ParseFloat(factorStr, 64)
-		if err != nil {
-			return fmt.Errorf("bad factor in %q: %v", clause, err)
-		}
-		matched := false
-		for _, b := range rep.Benchmarks {
-			if !strings.HasPrefix(b.Name, prefix) {
-				continue
-			}
-			baseName := basePrefix + strings.TrimPrefix(b.Name, prefix)
-			base, ok := byName[baseName]
-			if !ok {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: no in-run partner %s", b.Name, baseName)
-				}
-				continue
-			}
-			matched = true
-			rel := Relative{
-				Name: b.Name, Base: baseName,
-				NsRel:       relRatio(b.NsPerOp, base.NsPerOp),
-				AllocsRel:   relRatio(b.AllocsPerOp, base.AllocsPerOp),
-				AllocsDelta: b.AllocsPerOp - base.AllocsPerOp,
-			}
-			rep.Relatives = append(rep.Relatives, rel)
-			if rel.NsRel > limit && firstErr == nil {
-				firstErr = fmt.Errorf("%s: %.1f ns/op vs %s's %.1f (%.3fx, limit %.2fx)",
-					b.Name, b.NsPerOp, baseName, base.NsPerOp, rel.NsRel, limit)
-			}
-			// Zero-allocation pairs compare by absolute delta: a ratio
-			// against 0 allocs/op is meaningless.
-			allocsOver := rel.AllocsRel > limit || (base.AllocsPerOp == 0 && b.AllocsPerOp > 0)
-			if allocsOver && firstErr == nil {
-				firstErr = fmt.Errorf("%s: %.0f allocs/op vs %s's %.0f (limit %.2fx)",
-					b.Name, b.AllocsPerOp, baseName, base.AllocsPerOp, limit)
-			}
-		}
-		if !matched && firstErr == nil {
-			firstErr = fmt.Errorf("no benchmark matches -max-rel prefix %q", prefix)
-		}
-	}
-	return firstErr
-}
-
-// checkMetricRelGate enforces "prefix=basePrefix:unit:factor" limits on
-// custom b.ReportMetric units: every benchmark whose name starts with
-// prefix must have a partner in the same run (prefix swapped for
-// basePrefix) and its unit metric must stay within factor of the
-// partner's. Factors below 1 demand an outright win — the reorg
-// makespan gate uses this to require the rebalanced run to beat the
-// frozen-tree baseline. Computed pairs land in rep.MetricRelatives so
-// the JSON artifact records the margin either way.
-func checkMetricRelGate(rep *Report, spec string) error {
-	byName := map[string]Benchmark{}
-	for _, b := range rep.Benchmarks {
-		byName[b.Name] = b
-	}
-	var firstErr error
-	for _, clause := range strings.Split(spec, ",") {
-		pair, rest, ok := strings.Cut(clause, ":")
-		unit, factorStr, ok2 := strings.Cut(rest, ":")
-		prefix, basePrefix, ok3 := strings.Cut(pair, "=")
-		if !ok || !ok2 || !ok3 {
-			return fmt.Errorf("bad -max-metric-rel clause %q (want prefix=basePrefix:unit:factor)", clause)
-		}
-		limit, err := strconv.ParseFloat(factorStr, 64)
-		if err != nil {
-			return fmt.Errorf("bad factor in %q: %v", clause, err)
-		}
-		matched := false
-		for _, b := range rep.Benchmarks {
-			if !strings.HasPrefix(b.Name, prefix) {
-				continue
-			}
-			baseName := basePrefix + strings.TrimPrefix(b.Name, prefix)
-			base, ok := byName[baseName]
-			if !ok {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: no in-run partner %s", b.Name, baseName)
-				}
-				continue
-			}
-			cur, curOK := b.Metrics[unit]
-			bv, baseOK := base.Metrics[unit]
-			if !curOK || !baseOK {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s vs %s: metric %q missing from one side", b.Name, baseName, unit)
-				}
-				continue
-			}
-			matched = true
-			rel := MetricRelative{
-				Name: b.Name, Base: baseName, Unit: unit,
-				Rel: relRatio(cur, bv), Value: cur, BaseValue: bv,
-			}
-			rep.MetricRelatives = append(rep.MetricRelatives, rel)
-			if rel.Rel > limit && firstErr == nil {
-				firstErr = fmt.Errorf("%s: %s %.4g vs %s's %.4g (%.3fx, limit %.2fx)",
-					b.Name, unit, cur, baseName, bv, rel.Rel, limit)
-			}
-		}
-		if !matched && firstErr == nil {
-			firstErr = fmt.Errorf("no benchmark pair matches -max-metric-rel prefix %q with metric %q", prefix, unit)
-		}
-	}
-	return firstErr
-}
-
-// relRatio is cur/base with 0-base parity convention.
-func relRatio(cur, base float64) float64 {
-	if base == 0 {
-		if cur == 0 {
-			return 1
-		}
-		return 0 // flagged separately via AllocsDelta / the zero check
-	}
-	return cur / base
-}
-
-// checkAllocGate enforces "prefix:factor" allocation-improvement
-// floors against the computed improvements. A benchmark whose current
-// run is already at zero allocs/op satisfies any floor: the ratio
-// baseline/0 is undefined (reported as 0), but zero is the best
-// possible outcome, not a regression.
-func checkAllocGate(rep Report, spec string) error {
-	curAllocs := map[string]float64{}
-	for _, b := range rep.Benchmarks {
-		curAllocs[b.Name] = b.AllocsPerOp
-	}
-	for _, clause := range strings.Split(spec, ",") {
-		prefix, factorStr, ok := strings.Cut(clause, ":")
-		if !ok {
-			return fmt.Errorf("bad -min-alloc-improvement clause %q (want prefix:factor)", clause)
-		}
-		floor, err := strconv.ParseFloat(factorStr, 64)
-		if err != nil {
-			return fmt.Errorf("bad factor in %q: %v", clause, err)
-		}
-		matched := false
-		for _, imp := range rep.Improvements {
-			if !strings.HasPrefix(imp.Name, prefix) {
-				continue
-			}
-			matched = true
-			if curAllocs[imp.Name] == 0 {
-				continue
-			}
-			if imp.AllocsFactor < floor {
-				return fmt.Errorf("%s: allocs/op improved only %.2fx, need >= %.2fx",
-					imp.Name, imp.AllocsFactor, floor)
-			}
-		}
-		if !matched {
-			return fmt.Errorf("no benchmark in both runs matches prefix %q", prefix)
-		}
-	}
-	return nil
+	return 0
 }

@@ -726,7 +726,8 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		}
 		for n := 0; n < copies; n++ {
 			buf := pvm.NewBuffer()
-			buf.PackInt32(int32(m.src), int32(m.tag))
+			buf.PackInt32(int32(m.src))
+			buf.PackInt64(int64(m.tag))
 			buf.PackBytes(m.payload)
 			if c.eng.Verify {
 				buf.PackInt64(int64(m.sum))
@@ -867,7 +868,7 @@ func (c *cctx) Sync(scope *model.Machine, label string) error {
 		if err != nil {
 			return releaseRest(msgs[i:], err)
 		}
-		tag, err := b.UnpackInt32()
+		tag, err := b.UnpackInt64()
 		if err != nil {
 			return releaseRest(msgs[i:], err)
 		}

@@ -241,3 +241,50 @@ func TestPropertyVirtualDeterministicOverSchedules(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Message tags are full ints on both engines: a tag outside int32 must
+// arrive unchanged on the Concurrent engine's wire, as it does on the
+// Virtual engine, with verification off and on.
+func TestEnginesAgreeOnWideTags(t *testing.T) {
+	tags := []int{1<<40 | 7, -1 << 35, -3, 7}
+	tr := model.UCFTestbedN(4)
+	p := tr.NProcs()
+	prog := func(got [][]int) Program {
+		return func(c Ctx) error {
+			if err := c.Send((c.Pid()+1)%p, tags[c.Pid()%len(tags)], []byte{byte(c.Pid())}); err != nil {
+				return err
+			}
+			if err := SyncAll(c, "wide"); err != nil {
+				return err
+			}
+			for _, m := range c.Moves() {
+				got[c.Pid()] = append(got[c.Pid()], m.Tag)
+			}
+			return nil
+		}
+	}
+	for _, verify := range []bool{false, true} {
+		t.Run(fmt.Sprintf("verify=%v", verify), func(t *testing.T) {
+			virt, conc := make([][]int, p), make([][]int, p)
+			veng := NewVirtual(tr, fabric.New(tr, fabric.PureModel()))
+			veng.Verify = verify
+			if _, err := veng.Run(prog(virt)); err != nil {
+				t.Fatal(err)
+			}
+			ceng := NewConcurrent(tr)
+			ceng.Verify = verify
+			if _, err := ceng.Run(prog(conc)); err != nil {
+				t.Fatal(err)
+			}
+			for pid := 0; pid < p; pid++ {
+				want := tags[(pid+p-1)%p%len(tags)]
+				if len(virt[pid]) != 1 || virt[pid][0] != want {
+					t.Errorf("p%d: virtual delivered tags %v, want [%d]", pid, virt[pid], want)
+				}
+				if len(conc[pid]) != 1 || conc[pid][0] != want {
+					t.Errorf("p%d: concurrent delivered tags %v, want [%d]", pid, conc[pid], want)
+				}
+			}
+		})
+	}
+}

@@ -14,9 +14,10 @@ import (
 // current balanced share c_{i,j} — exactly what the paper's balanced
 // distributions do — so a share that keeps pointing at a machine whose
 // measured speed collapsed keeps gating the superstep, and rebalancing
-// pays for itself. hbspk-benchjson enforces the win via
+// pays for itself. hbspk-benchjson enforces the win via this line of
+// bench/gates.txt:
 //
-//	-max-metric-rel 'BenchmarkReorgMakespan/reorg=BenchmarkReorgMakespan/frozen:model-cost:0.9'
+//	hbspk/internal/hbsp BenchmarkReorgMakespan/reorg model-cost <= 0.9 x BenchmarkReorgMakespan/frozen pairs>=1
 
 // reorgBenchProg charges share-proportional work each round: the
 // modeled equivalent of repartitioning the problem from the tree's

@@ -1,6 +1,7 @@
 package plan_test
 
-// Planner benchmarks and the BENCH_PR9 gates (ISSUE 9):
+// Planner benchmarks and their gates (bench/gates.txt, checked into
+// BENCH.json):
 //
 //   - BenchmarkPlannerSweep emits a "model-cost" metric (the virtual
 //     engine's finishing time, PureModel fabric) for a payload × tree
@@ -115,7 +116,7 @@ func sweepProg(family, variant string, pl *plan.Planner, n, procs int) hbsp.Prog
 	}
 }
 
-// BenchmarkPlannerSweep emits the BENCH_PR9 planner-vs-fixed grid. Run
+// BenchmarkPlannerSweep emits the planner-vs-fixed grid. Run
 // with -benchtime 1x: the metric is the deterministic modeled cost, so
 // one iteration is exact.
 func BenchmarkPlannerSweep(b *testing.B) {
@@ -305,7 +306,7 @@ func BenchmarkDirectDispatch(b *testing.B) { benchDispatch(b, false) }
 // BenchmarkDecideHit isolates the decision-cache hit path: a memoized
 // fingerprint read plus one lock-free map load. This is the overhead a
 // Planned* collective pays over the dispatched variant before the
-// observer seam; the BENCH_PR9 artifact documents it staying far under
+// observer seam; the BENCH.json artifact documents it staying far under
 // a microsecond.
 func BenchmarkDecideHit(b *testing.B) {
 	tr := model.UCFTestbedN(8)

@@ -7,7 +7,7 @@ import (
 )
 
 // Microbenchmarks of the message fabric's hot path. Each reports
-// allocs/op so the benchmark-regression gate (make bench, BENCH_PR4.json)
+// allocs/op so the benchmark-regression gate (make bench, BENCH.json)
 // can hold the send path to its allocation budget.
 //
 // Traffic is paced with a credit window, mirroring how superstep
@@ -46,7 +46,7 @@ func BenchmarkSendRecv(b *testing.B) {
 // BenchmarkSendRecvObsvOff is the observability overhead guard: the
 // identical workload to BenchmarkSendRecv with the observer explicitly
 // cleared. make bench holds it within 5% of BenchmarkSendRecv on both
-// ns/op and allocs/op (hbspk-benchjson -max-rel), so the disabled-path
+// ns/op and allocs/op (bench/gates.txt), so the disabled-path
 // cost of the obsv hooks — one atomic pointer load per delivery and
 // pool draw — stays invisible.
 func BenchmarkSendRecvObsvOff(b *testing.B) {
