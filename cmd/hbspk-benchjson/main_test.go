@@ -56,57 +56,50 @@ func writeTemp(t *testing.T, name, text string) string {
 	return path
 }
 
-// field returns the line of benchmark name in text, split into fields,
-// and its index among the lines.
-func field(t *testing.T, text, name string) ([]string, int) {
+// valueAt locates the value benchmark name reports for unit in text:
+// the fields of its line, the line's index and the value's field index.
+func valueAt(t *testing.T, text, name, unit string) ([]string, int, int) {
 	t.Helper()
-	for i, line := range strings.Split(text, "\n") {
-		if f := strings.Fields(line); len(f) > 0 && f[0] == name {
-			return f, i
+	for at, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || f[0] != name {
+			continue
 		}
+		for i := 3; i < len(f); i += 2 {
+			if f[i] == unit {
+				return f, at, i - 1
+			}
+		}
+		t.Fatalf("%s reports no %s", name, unit)
 	}
 	t.Fatalf("no benchmark %s", name)
-	return nil, 0
+	return nil, 0, 0
 }
 
-// metric reads the value benchmark name reports for unit.
 func metric(t *testing.T, text, name, unit string) float64 {
 	t.Helper()
-	f, _ := field(t, text, name)
-	for i := 3; i < len(f); i += 2 {
-		if f[i] == unit {
-			v, err := strconv.ParseFloat(f[i-1], 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return v
-		}
+	f, _, i := valueAt(t, text, name, unit)
+	v, err := strconv.ParseFloat(f[i], 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("%s reports no %s", name, unit)
-	return 0
+	return v
 }
 
-// setMetric rewrites the value benchmark name reports for unit.
 func setMetric(t *testing.T, text, name, unit string, v float64) string {
 	t.Helper()
-	f, at := field(t, text, name)
-	for i := 3; i < len(f); i += 2 {
-		if f[i] == unit {
-			f[i-1] = strconv.FormatFloat(v, 'g', -1, 64)
-			lines := strings.Split(text, "\n")
-			lines[at] = strings.Join(f, "\t")
-			return strings.Join(lines, "\n")
-		}
-	}
-	t.Fatalf("%s reports no %s", name, unit)
-	return ""
+	f, at, i := valueAt(t, text, name, unit)
+	f[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	lines := strings.Split(text, "\n")
+	lines[at] = strings.Join(f, "\t")
+	return strings.Join(lines, "\n")
 }
 
 // deleteBench drops the lines of the named benchmarks.
 func deleteBench(t *testing.T, text string, names ...string) string {
 	t.Helper()
 	for _, name := range names {
-		_, at := field(t, text, name)
+		_, at, _ := valueAt(t, text, name, "ns/op")
 		lines := strings.Split(text, "\n")
 		text = strings.Join(append(lines[:at], lines[at+1:]...), "\n")
 	}
